@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -206,6 +207,202 @@ func TestKeyCacheFlushKeepsStats(t *testing.T) {
 	for i := uint64(0); i < 20; i++ {
 		if c.Probe(i) {
 			t.Fatalf("key %d survived the flush", i)
+		}
+	}
+}
+
+// flatLineCache is the reference model for LineCache: one flat set-major
+// array allocated up front, indexed by plain division and modulo. It
+// keeps LineCache's fill, replacement and statistics policy, so the two
+// must agree on every return value.
+type flatLineCache struct {
+	lineSize   uint64
+	sets, ways int
+	lines      []line
+	clock      uint64
+	hitPF      bool
+	stats      Stats
+}
+
+func newFlatLineCache(sizeBytes, ways int, lineSize uint64) *flatLineCache {
+	sets := sizeBytes / int(lineSize) / ways
+	return &flatLineCache{lineSize: lineSize, sets: sets, ways: ways, lines: make([]line, sets*ways)}
+}
+
+func (f *flatLineCache) set(addr uint64) ([]line, uint64) {
+	tag := addr / f.lineSize
+	s := int(tag % uint64(f.sets))
+	return f.lines[s*f.ways : (s+1)*f.ways], tag
+}
+
+func (f *flatLineCache) access(addr uint64, write bool) (bool, uint64, bool) {
+	ws, tag := f.set(addr)
+	f.clock++
+	for w := range ws {
+		if ws[w].valid && ws[w].tag == tag {
+			ws[w].lru = f.clock
+			f.hitPF = ws[w].pf
+			ws[w].pf = false
+			ws[w].dirty = ws[w].dirty || write
+			f.stats.Hits++
+			return true, 0, false
+		}
+	}
+	f.hitPF = false
+	f.stats.Misses++
+	victim := -1
+	for w := range ws {
+		if !ws[w].valid {
+			victim = w
+			break
+		}
+	}
+	var wbAddr uint64
+	var wb bool
+	if victim < 0 {
+		victim = 0
+		for w := range ws {
+			if ws[w].lru < ws[victim].lru {
+				victim = w
+			}
+		}
+		f.stats.Evictions++
+		if ws[victim].dirty {
+			f.stats.Writebacks++
+			wb, wbAddr = true, ws[victim].tag*f.lineSize
+		}
+	}
+	ws[victim] = line{tag: tag, valid: true, dirty: write, lru: f.clock}
+	return false, wbAddr, wb
+}
+
+func (f *flatLineCache) markPrefetched(addr uint64) {
+	ws, tag := f.set(addr)
+	for w := range ws {
+		if ws[w].valid && ws[w].tag == tag {
+			ws[w].pf = true
+		}
+	}
+}
+
+func (f *flatLineCache) contains(addr uint64) bool {
+	ws, tag := f.set(addr)
+	for _, l := range ws {
+		if l.valid && l.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+func (f *flatLineCache) invalidate(addr uint64) {
+	ws, tag := f.set(addr)
+	for w := range ws {
+		if ws[w].valid && ws[w].tag == tag {
+			ws[w].valid = false
+			f.stats.Invals++
+		}
+	}
+}
+
+// lineCacheGeometries are the simulator's default L1, L2, LLC and shadow
+// caches plus one set count (100) that is neither a power of two nor a
+// whole number of chunks.
+var lineCacheGeometries = []struct {
+	name      string
+	sizeBytes int
+	ways      int
+}{
+	{"L1", 32 << 10, 8},
+	{"L2", 256 << 10, 8},
+	{"LLC", 8 << 20, 16},
+	{"shadow", 32 << 10, 8},
+	{"sets100", 100 * 4 * 64, 4},
+}
+
+// TestLineCacheMatchesFlatReference drives LineCache and the flat
+// reference through the same random Access/MarkPrefetched/Contains/
+// Invalidate sequence and compares every result, HitPrefetched and Stats
+// after each operation. Addresses come from a few dozen sets (the first
+// and last among them) with more tags than ways, so fills, hits,
+// evictions and writebacks all occur, mixed with probes of addresses
+// anywhere in memory, which mostly land in untouched chunks.
+func TestLineCacheMatchesFlatReference(t *testing.T) {
+	const lineSize = 64
+	for gi, g := range lineCacheGeometries {
+		t.Run(g.name, func(t *testing.T) {
+			c := NewLineCache(g.name, g.sizeBytes, g.ways, lineSize, 1)
+			ref := newFlatLineCache(g.sizeBytes, g.ways, lineSize)
+			rng := rand.New(rand.NewSource(int64(gi + 1)))
+			hot := []uint64{0, uint64(ref.sets - 1)}
+			for len(hot) < 40 {
+				hot = append(hot, uint64(rng.Intn(ref.sets)))
+			}
+			for i := 0; i < 30000; i++ {
+				var addr uint64
+				if rng.Intn(8) == 0 {
+					addr = rng.Uint64() >> 16
+				} else {
+					tag := uint64(rng.Intn(3 * g.ways))
+					lineAddr := tag*uint64(ref.sets) + hot[rng.Intn(len(hot))]
+					addr = lineAddr*lineSize + uint64(rng.Intn(lineSize))
+				}
+				switch op := rng.Intn(10); {
+				case op < 6:
+					write := rng.Intn(3) == 0
+					hit, wbAddr, wb := c.Access(addr, write)
+					rhit, rwbAddr, rwb := ref.access(addr, write)
+					if hit != rhit || wbAddr != rwbAddr || wb != rwb {
+						t.Fatalf("op %d Access(%#x, %v) = (%v, %#x, %v), reference (%v, %#x, %v)",
+							i, addr, write, hit, wbAddr, wb, rhit, rwbAddr, rwb)
+					}
+				case op < 7:
+					c.MarkPrefetched(addr)
+					ref.markPrefetched(addr)
+				case op < 9:
+					if got, want := c.Contains(addr), ref.contains(addr); got != want {
+						t.Fatalf("op %d Contains(%#x) = %v, reference %v", i, addr, got, want)
+					}
+				default:
+					c.Invalidate(addr)
+					ref.invalidate(addr)
+				}
+				if c.HitPrefetched() != ref.hitPF || c.Stats != ref.stats {
+					t.Fatalf("op %d: HitPrefetched %v stats %+v, reference %v %+v",
+						i, c.HitPrefetched(), c.Stats, ref.hitPF, ref.stats)
+				}
+			}
+			if ref.stats.Evictions == 0 || ref.stats.Writebacks == 0 || ref.stats.Invals == 0 || ref.stats.Hits == 0 {
+				t.Fatalf("sequence too weak: %+v", ref.stats)
+			}
+		})
+	}
+}
+
+// TestLineCacheProbesAllocateNothing: probing sets no fill has touched
+// reads them as empty without materializing their chunks.
+func TestLineCacheProbesAllocateNothing(t *testing.T) {
+	for _, g := range lineCacheGeometries {
+		c := NewLineCache(g.name, g.sizeBytes, g.ways, 64, 1)
+		var addr uint64
+		allocs := testing.AllocsPerRun(1000, func() {
+			addr += 64*7 + 1
+			if c.Contains(addr) {
+				t.Fatal("empty cache contains a line")
+			}
+			c.MarkPrefetched(addr)
+			c.Invalidate(addr)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: probes of untouched sets allocate %.1f objects each, want 0", g.name, allocs)
+		}
+		for k, ch := range c.chunks {
+			if ch != nil {
+				t.Fatalf("%s: probe materialized chunk %d", g.name, k)
+			}
+		}
+		if c.Stats != (Stats{}) {
+			t.Errorf("%s: probes of an empty cache changed stats: %+v", g.name, c.Stats)
 		}
 	}
 }

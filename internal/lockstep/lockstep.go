@@ -175,17 +175,19 @@ type CondResult struct {
 	Err        string       `json:"err,omitempty"`
 }
 
-// tailRing keeps the last n formatted records for divergence context.
+// tailRing keeps the last n agreed-on records for divergence context.
+// It stores the records themselves and formats them only in list(), on
+// divergence: every commit pushes, but almost no run ever reads the tail.
 type tailRing struct {
-	buf  []string
+	buf  []emu.Rec
 	next int
 	full bool
 }
 
-func newTailRing(n int) *tailRing { return &tailRing{buf: make([]string, n)} }
+func newTailRing(n int) *tailRing { return &tailRing{buf: make([]emu.Rec, n)} }
 
-func (t *tailRing) push(s string) {
-	t.buf[t.next] = s
+func (t *tailRing) push(r *emu.Rec) {
+	t.buf[t.next] = *r
 	t.next++
 	if t.next == len(t.buf) {
 		t.next = 0
@@ -193,13 +195,16 @@ func (t *tailRing) push(s string) {
 	}
 }
 
+// list formats the kept records, oldest first.
 func (t *tailRing) list() []string {
-	if !t.full {
-		return append([]string(nil), t.buf[:t.next]...)
+	n, start := t.next, 0
+	if t.full {
+		n, start = len(t.buf), t.next
 	}
-	out := make([]string, 0, len(t.buf))
-	out = append(out, t.buf[t.next:]...)
-	out = append(out, t.buf[:t.next]...)
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmtRec(&t.buf[(start+i)%len(t.buf)])
+	}
 	return out
 }
 
@@ -338,7 +343,7 @@ func runConditionProg(prog *asm.Program, cond Condition, opt RunOptions) *CondRe
 			diverge(view.Seq, d)
 			return
 		}
-		tail.push(fmtRec(refRec))
+		tail.push(refRec)
 		res.Commits++
 		if res.Commits%opt.Stride == 0 {
 			if ds := sim.M.Snapshot().Diff(ref.Snapshot()); len(ds) > 0 {

@@ -3,6 +3,8 @@ package lockstep
 import (
 	"bytes"
 	"context"
+	"slices"
+	"strings"
 	"testing"
 
 	"chex86/internal/emu"
@@ -102,6 +104,32 @@ func TestTamperedPipelineCaught(t *testing.T) {
 	}
 	if pr.Failure.Kind != "divergence" {
 		t.Fatalf("tamper classified as %q, want divergence: %v", pr.Failure.Kind, pr.Failure)
+	}
+	// The report is pinned byte for byte: every condition diverges at the
+	// first tampered store, and its tail is the last eight agreed-on
+	// records, oldest first, in fmtRec's format (the ring has wrapped).
+	const wantDetail = "storeVal: pipeline 0x5b != reference 0x5a (pipeline rec: #40 c0 movb@0x400058 ea=0x10000228 st=0x5b | reference rec: #40 c0 movb@0x400058 ea=0x10000228 st=0x5a)"
+	wantTail := []string{
+		"#32 c0 mov@0x400040 val=0x10000130",
+		"#33 c0 call@0x400044 ea=0x7fffffffeff8 st=0x400048 taken->0x500100 ev=freeEnter pid=3 base=0x10000130 size=0",
+		"#34 c0 ret@0x500104 ea=0x7fffffffeff8 taken->0x400048 ev=freeExit pid=3 base=0x10000130 size=0",
+		"#35 c0 mov@0x400048 val=0x80",
+		"#36 c0 call@0x40004c ea=0x7fffffffeff8 st=0x400050 taken->0x500000 ev=allocEnter pid=5 base=0x0 size=128",
+		"#37 c0 ret@0x500004 ea=0x7fffffffeff8 val=0x10000130 taken->0x400050 ev=allocExit pid=5 base=0x10000130 size=128",
+		"#38 c0 mov@0x400050 val=0x10000130",
+		"#39 c0 mov@0x400054 val=0x5a",
+	}
+	for _, rc := range pr.Conds {
+		d := rc.Divergence
+		if d == nil {
+			t.Fatalf("seed %d: %s did not diverge", seed, rc.Name)
+		}
+		if d.Seq != 40 || d.Detail != wantDetail {
+			t.Errorf("%s: divergence seq=%d detail %q, want seq=40 %q", rc.Name, d.Seq, d.Detail, wantDetail)
+		}
+		if !slices.Equal(d.Tail, wantTail) {
+			t.Errorf("%s: tail\n%s\nwant\n%s", rc.Name, strings.Join(d.Tail, "\n"), strings.Join(wantTail, "\n"))
+		}
 	}
 
 	shrunk, attempts := Shrink(g, func(cand *progen.Genome) bool {
