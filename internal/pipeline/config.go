@@ -278,6 +278,10 @@ func (c *Config) validate(harts int) error {
 		return fail("ROB/IQ/LQ/SQ sizes must be positive (%d/%d/%d/%d)",
 			c.ROBSize, c.IQSize, c.LQSize, c.SQSize)
 	}
+	if c.IQSize > 255 {
+		// The IQ window counts entries per cycle in bytes.
+		return fail("IQ size %d exceeds 255 entries", c.IQSize)
+	}
 	if c.LineSize == 0 || c.LineSize&(c.LineSize-1) != 0 {
 		return fail("line size %d must be a power of two", c.LineSize)
 	}

@@ -181,23 +181,31 @@ func TestResourceRings(t *testing.T) {
 
 func TestIssueWindowOrderStatistic(t *testing.T) {
 	w := newIssueWindow(3)
-	if w.bound() != 0 {
-		t.Fatal("unfilled window imposes no bound")
+	if got := w.admit(0); got != 0 {
+		t.Fatalf("unfilled window imposes no bound, got %d", got)
 	}
 	w.add(10)
 	w.add(50)
 	w.add(30)
 	// Bound = 3rd-largest issue = 10.
-	if w.bound() != 10 {
-		t.Fatalf("bound %d, want 10", w.bound())
+	if got := w.admit(0); got != 10 {
+		t.Fatalf("bound %d, want 10", got)
 	}
 	w.add(40) // largest three now {30,40,50}
-	if w.bound() != 30 {
-		t.Fatalf("bound %d, want 30", w.bound())
+	if got := w.admit(0); got != 30 {
+		t.Fatalf("bound %d, want 30", got)
 	}
 	w.add(5) // smaller than all: no change
-	if w.bound() != 30 {
+	if got := w.admit(0); got != 30 {
 		t.Fatal("small issues must not relax the bound")
+	}
+	// A floor above the bound wins and folds 30 onto 35.
+	if got := w.admit(35); got != 35 {
+		t.Fatalf("admit(35) = %d, want 35", got)
+	}
+	w.add(45) // largest three now {40,45,50}
+	if got := w.admit(35); got != 40 {
+		t.Fatalf("bound %d, want 40", got)
 	}
 }
 

@@ -1,5 +1,7 @@
 package pipeline
 
+import "math"
+
 // This file implements the scheduling resources of the one-pass
 // out-of-order timing model: per-cycle bandwidth counters (issue width,
 // commit width, functional-unit pools) and in-order occupancy rings (ROB,
@@ -31,6 +33,7 @@ type bandwidth struct {
 	base   uint64  // first cycle represented by the window
 	end    uint64  // first cycle past the window: base + len(counts)
 	counts []uint8 // per-cycle reservations, bwInitial..bwWindow long
+	clamps uint64  // reserves whose want lay below base and was moved up to it
 }
 
 // bwInitial is the starting window length.
@@ -47,6 +50,10 @@ func newBandwidth(width int) *bandwidth {
 // consumes one slot, and returns that cycle.
 func (b *bandwidth) reserve(want uint64) uint64 {
 	if want < b.base {
+		// The window slid past want, so the cycle granted is not the one a
+		// full history would give. Counted so tests can prove it never
+		// happens on real workloads.
+		b.clamps++
 		want = b.base
 	}
 	for {
@@ -155,87 +162,179 @@ func (r *occupancyRing) occupied(now uint64) int {
 	return held
 }
 
+// iqRing is the cycle span of the instruction queue's counting ring: held
+// issue times in [base, base+iqRing) are counted per cycle, later ones go
+// to the overflow list. It is a power of two so that a cycle's counter
+// index is a mask.
+const iqRing = 1 << 10
+
 // issueWindow models a capacity-limited structure whose entries free
 // out-of-order (the instruction queue: entries release at issue). A new
 // entry can dispatch once fewer than capacity older entries remain
-// unissued — i.e., no earlier than the capacity-th largest issue time seen
-// so far. A size-capacity min-heap of the largest issue times yields that
-// bound exactly. The heap is 4-ary with a hole-based sift: replacing the
-// root usually sifts the full depth, and the 4-ary layout halves that
-// depth while keeping each level's children inside one cache line.
+// unissued, i.e. no earlier than the capacity-th largest issue time seen
+// so far.
+//
+// The window holds the capacity largest issue times as per-cycle counts,
+// so the smallest held cycle (low) is that bound. Dispatch floors arrive
+// non-decreasing and every issue lies above its floor, so a held entry
+// below the current floor can never bind again: admit folds such entries
+// onto the floor, which keeps the bound exact while letting the counted
+// span start at the floor. Held cycles in [base, base+iqRing) live in a
+// fixed ring of byte counters (at most capacity <= 255 entries share a
+// cycle); the rare ones past the ring end wait in an unsorted overflow
+// list (at most capacity entries, plus one during an add) and move into
+// the ring when base comes within range of them.
 type issueWindow struct {
 	capacity int
-	heap     []uint64 // 4-ary min-heap of the `capacity` largest issue times
+	held     int    // entries held: min(adds, capacity)
+	base     uint64 // no held entry lies below base
+	low      uint64 // smallest held cycle, when held > 0
+	overMin  uint64 // smallest overflow entry; MaxUint64 when there is none
+	over     []uint64
+	counts   [iqRing]uint8 // held entries at cycle c, indexed c % iqRing
 }
 
 func newIssueWindow(capacity int) *issueWindow {
-	return &issueWindow{capacity: capacity}
+	if capacity < 1 || capacity > 255 {
+		panic("issue window capacity out of range")
+	}
+	return &issueWindow{capacity: capacity, overMin: math.MaxUint64, over: make([]uint64, 0, capacity+1)}
+}
+
+// admit returns the earliest cycle at or after floor at which a new entry
+// may dispatch: floor itself until the window has filled, otherwise the
+// larger of floor and the capacity-th largest issue time. Successive
+// floors must not decrease.
+func (w *issueWindow) admit(floor uint64) uint64 {
+	if w.held != 0 && w.low < floor {
+		w.fold(floor)
+	}
+	if w.held < w.capacity {
+		if floor > w.base {
+			w.rebase(floor)
+		}
+		return floor
+	}
+	// Every later insertion lies above low, so the ring may start there.
+	if w.low > w.base {
+		w.rebase(w.low)
+	}
+	return w.low
+}
+
+// add records an entry's issue time, which must not lie below the last
+// admit floor. (Until the window fills, an issue below base, which is at
+// most that floor, is counted at base: the next admit would fold it there
+// anyway.)
+func (w *issueWindow) add(issue uint64) {
+	if w.held == w.capacity {
+		if issue <= w.low {
+			return
+		}
+		w.insert(issue)
+		w.evictLow()
+		return
+	}
+	if issue < w.base {
+		issue = w.base
+	}
+	w.insert(issue)
+	if w.held == 0 || issue < w.low {
+		w.low = issue
+	}
+	w.held++
+}
+
+// insert counts one entry at cycle t >= base.
+func (w *issueWindow) insert(t uint64) {
+	if t-w.base < iqRing {
+		w.counts[t%iqRing]++
+		return
+	}
+	w.over = append(w.over, t)
+	if t < w.overMin {
+		w.overMin = t
+	}
+}
+
+// evictLow drops one entry at the smallest held cycle and moves low to
+// the next held cycle. Some entry above low must be held.
+func (w *issueWindow) evictLow() {
+	if w.low-w.base >= iqRing {
+		// Only overflow entries are held; the ring is empty.
+		w.rebase(w.low)
+	}
+	i := w.low % iqRing
+	w.counts[i]--
+	if w.counts[i] != 0 {
+		return
+	}
+	for c := w.low + 1; c-w.base < iqRing; c++ {
+		if w.counts[c%iqRing] != 0 {
+			w.low = c
+			return
+		}
+	}
+	// Nothing is left in the ring: the overflow holds the next entry. The
+	// next admit or evictLow rebases the ring onto it.
+	w.low = w.overMin
+}
+
+// fold moves every held entry below floor onto floor and makes floor the
+// base. Requires low < floor.
+func (w *issueWindow) fold(floor uint64) {
+	n := 0
+	for c := w.low; c < floor && c-w.base < iqRing; c++ {
+		i := c % iqRing
+		n += int(w.counts[i])
+		w.counts[i] = 0
+	}
+	w.counts[floor%iqRing] += uint8(n)
+	w.low = floor
+	w.rebase(floor)
+}
+
+// rebase raises base to b, whose ring counters for [base, b) must be
+// clear, and moves overflow entries that now fall inside the ring into
+// it, folding any below b onto b.
+func (w *issueWindow) rebase(b uint64) {
+	w.base = b
+	end := b + iqRing
+	if w.overMin >= end {
+		return
+	}
+	kept := w.over[:0]
+	w.overMin = math.MaxUint64
+	for _, t := range w.over {
+		if t >= end {
+			kept = append(kept, t)
+			w.overMin = min(w.overMin, t)
+			continue
+		}
+		w.counts[max(t, b)%iqRing]++
+	}
+	w.over = kept
 }
 
 // occupied counts entries still unissued at the given cycle (diagnostic
-// use: pipeline snapshots on hang/cancellation errors).
+// use: pipeline snapshots on hang/cancellation errors). Folding only moves
+// entries that lie below the last admit floor, so the count is exact for
+// any now at or after that floor.
 func (w *issueWindow) occupied(now uint64) int {
 	held := 0
-	for _, t := range w.heap {
+	for _, t := range w.over {
 		if t > now {
 			held++
 		}
 	}
+	start := w.base
+	if now >= start {
+		start = now + 1
+	}
+	for c := start; c-w.base < iqRing; c++ {
+		held += int(w.counts[c%iqRing])
+	}
 	return held
-}
-
-// bound returns the earliest cycle at which a new entry may dispatch.
-func (w *issueWindow) bound() uint64 {
-	if len(w.heap) < w.capacity {
-		return 0
-	}
-	return w.heap[0]
-}
-
-// add records an entry's issue time.
-func (w *issueWindow) add(issue uint64) {
-	h := w.heap
-	if len(h) < w.capacity {
-		h = append(h, issue)
-		w.heap = h
-		i := len(h) - 1
-		for i > 0 {
-			p := (i - 1) / 4
-			if h[p] <= h[i] {
-				break
-			}
-			h[p], h[i] = h[i], h[p]
-			i = p
-		}
-		return
-	}
-	if issue <= h[0] {
-		return
-	}
-	// Sift the hole left by the evicted root downward, pulling the
-	// smaller child up, until issue fits.
-	n := len(h)
-	i := 0
-	for {
-		small := i
-		min := issue
-		c := 4*i + 1
-		last := c + 4
-		if last > n {
-			last = n
-		}
-		for ; c < last; c++ {
-			if h[c] < min {
-				small, min = c, h[c]
-			}
-		}
-		if small == i {
-			break
-		}
-		h[i] = min
-		i = small
-	}
-	h[i] = issue
 }
 
 func maxU64(a, b uint64) uint64 {

@@ -97,9 +97,7 @@ func (c *coreCtx) schedule(cfg *Config, plans []uopPlan, trace func(UopTrace), r
 			// reservation stations: never issues.
 			done = dispatch
 		} else {
-			if b := c.iq.bound(); b > dispatch {
-				dispatch = b
-			}
+			dispatch = c.iq.admit(dispatch)
 			isLoad := u.Type == isa.ULoad
 			isStore := u.Type == isa.UStore
 			if isLoad {

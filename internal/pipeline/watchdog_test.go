@@ -168,6 +168,11 @@ func TestNewSimConfigError(t *testing.T) {
 	if _, err := NewSim(prog, bad, 1); !isConfigErr(err) {
 		t.Fatalf("bad line size: want ErrConfig, got %v", err)
 	}
+	bad = DefaultConfig()
+	bad.IQSize = 256 // past the IQ window's byte counters
+	if _, err := NewSim(prog, bad, 1); !isConfigErr(err) {
+		t.Fatalf("IQ size 256: want ErrConfig, got %v", err)
+	}
 	if _, err := NewSim(nil, cfg, 1); !isConfigErr(err) {
 		t.Fatalf("nil program: want ErrConfig, got %v", err)
 	}
