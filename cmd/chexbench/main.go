@@ -70,18 +70,7 @@ func main() {
 	kinst := flag.Bool("kinst", false, "measure host throughput: Kinst/s and allocs/instruction per workload")
 	kinstVariants := flag.String("kinst-variants", "baseline,always-on,prediction", "comma-separated protection variants for -kinst")
 	ctxK := flag.Int("ctxk", 0, "call-string depth for -elide proofs (0 = default k=2, -1 = context-insensitive)")
-	superblocks := flag.String("superblocks", "on", "superblock replay: on (default) or off — the escape hatch cannot change results, only host throughput")
 	flag.Parse()
-
-	var noSuperblocks bool
-	switch *superblocks {
-	case "on":
-	case "off":
-		noSuperblocks = true
-	default:
-		fmt.Fprintf(os.Stderr, "chexbench: -superblocks must be on or off, got %q\n", *superblocks)
-		exit(2)
-	}
 
 	if *cpuprofile != "" || *memprofile != "" {
 		stop, err := startProfiles(*cpuprofile, *memprofile)
@@ -94,7 +83,7 @@ func main() {
 	}
 
 	if *kinst {
-		if err := runKinst(*benches, *kinstVariants, *scale, *insts, noSuperblocks); err != nil {
+		if err := runKinst(*benches, *kinstVariants, *scale, *insts); err != nil {
 			fmt.Fprintln(os.Stderr, "chexbench:", err)
 			exit(1)
 		}
@@ -134,7 +123,7 @@ func main() {
 		}
 		defer f.Close()
 		ro := experiments.Options{Scale: *scale, MaxInsts: *insts, MaxCycles: *maxCycles,
-			Timeout: *timeout, NoSuperblocks: noSuperblocks}
+			Timeout: *timeout}
 		if *benches != "" {
 			ro.Benches = strings.Split(*benches, ",")
 		}
@@ -147,7 +136,7 @@ func main() {
 	}
 
 	o := experiments.Options{Scale: *scale, MaxInsts: *insts, MaxCycles: *maxCycles,
-		Timeout: *timeout, ContextK: *ctxK, NoSuperblocks: noSuperblocks}
+		Timeout: *timeout, ContextK: *ctxK}
 	if *benches != "" {
 		o.Benches = strings.Split(*benches, ",")
 	}
@@ -520,7 +509,7 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 // by a host-speed calibration score so numbers are comparable across
 // machines. This is the interactive face of the CI benchmark gate
 // (cmd/chexperf); both share internal/hostperf.
-func runKinst(benches, variants string, scale float64, insts uint64, noSuperblocks bool) error {
+func runKinst(benches, variants string, scale float64, insts uint64) error {
 	clock := func() int64 { return time.Now().UnixNano() } //determinism:ok — CLI wall-time probe
 	names := workload.Names()
 	if benches != "" {
@@ -541,7 +530,7 @@ func runKinst(benches, variants string, scale float64, insts uint64, noSuperbloc
 			return fmt.Errorf("unknown workload %q", name)
 		}
 		for _, v := range vs {
-			s, err := hostperf.Measure(clock, p, v, hostperf.MeasureOpts{Scale: scale, MaxInsts: insts, NoSuperblocks: noSuperblocks})
+			s, err := hostperf.Measure(clock, p, v, hostperf.MeasureOpts{Scale: scale, MaxInsts: insts})
 			if err != nil {
 				return err
 			}

@@ -51,7 +51,9 @@ type loopEntry struct {
 // Predictor is the LTAGE-class direction predictor: a bimodal base, four
 // geometric-history tagged tables, and a loop predictor.
 type Predictor struct {
-	base   []uint8 // 2-bit counters
+	// base holds the bimodal 2-bit counters XOR 1, so the zero value of
+	// a fresh table reads as weakly not-taken without an init pass.
+	base   []uint8
 	tables [numTagged][]taggedEntry
 	loops  []loopEntry
 	ghist  uint64 // global history (newest bit = LSB)
@@ -61,9 +63,6 @@ type Predictor struct {
 // NewPredictor returns an initialized predictor.
 func NewPredictor() *Predictor {
 	p := &Predictor{base: make([]uint8, 1<<baseBits), loops: make([]loopEntry, 512)}
-	for i := range p.base {
-		p.base[i] = 1 // weakly not-taken
-	}
 	for t := 0; t < numTagged; t++ {
 		p.tables[t] = make([]taggedEntry, 1<<taggedBits)
 	}
@@ -143,7 +142,7 @@ func (p *Predictor) PredictDir(pc uint64) bool {
 			return e.ctr >= 0
 		}
 	}
-	return p.base[(pc>>2)&(1<<baseBits-1)] >= 2
+	return p.base[(pc>>2)&(1<<baseBits-1)]^1 >= 2
 }
 
 // UpdateDir trains the predictor with the branch's actual direction.
@@ -169,11 +168,13 @@ func (p *Predictor) UpdateDir(pc uint64, taken bool) {
 		}
 	}
 	bi := (pc >> 2) & (1<<baseBits - 1)
-	if taken && p.base[bi] < 3 {
-		p.base[bi]++
-	} else if !taken && p.base[bi] > 0 {
-		p.base[bi]--
+	ctr := p.base[bi] ^ 1
+	if taken && ctr < 3 {
+		ctr++
+	} else if !taken && ctr > 0 {
+		ctr--
 	}
+	p.base[bi] = ctr ^ 1
 	// On a misprediction, allocate into a longer-history table.
 	if predicted != taken && !provided {
 		for t := 0; t < numTagged; t++ {
@@ -202,23 +203,38 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// BTB is the branch target buffer.
+// btbChunk is the number of BTB entries materialized together on the
+// first update into their range.
+const btbChunk = 64
+
+type btbEntry struct {
+	tag    uint64
+	target uint64
+}
+
+// BTB is the branch target buffer. Entry i lives at
+// chunks[i/btbChunk][i%btbChunk]; a nil chunk has never been updated,
+// and lookups in its range miss without allocating, so a short run pays
+// for the branches it executes rather than the full capacity.
 type BTB struct {
 	entries int
-	tags    []uint64
-	targets []uint64
+	chunks  []*[btbChunk]btbEntry
 }
 
 // NewBTB returns a direct-mapped BTB with the given entry count.
 func NewBTB(entries int) *BTB {
-	return &BTB{entries: entries, tags: make([]uint64, entries), targets: make([]uint64, entries)}
+	return &BTB{entries: entries, chunks: make([]*[btbChunk]btbEntry, (entries+btbChunk-1)/btbChunk)}
 }
 
 // Lookup returns the predicted target for pc and whether the BTB hit.
 func (b *BTB) Lookup(pc uint64) (uint64, bool) {
 	i := (pc >> 2) % uint64(b.entries)
-	if b.tags[i] == pc && pc != 0 {
-		return b.targets[i], true
+	ch := b.chunks[i/btbChunk]
+	if ch == nil {
+		return 0, false
+	}
+	if e := &ch[i%btbChunk]; e.tag == pc && pc != 0 {
+		return e.target, true
 	}
 	return 0, false
 }
@@ -226,8 +242,12 @@ func (b *BTB) Lookup(pc uint64) (uint64, bool) {
 // Update records the actual target of the branch at pc.
 func (b *BTB) Update(pc, target uint64) {
 	i := (pc >> 2) % uint64(b.entries)
-	b.tags[i] = pc
-	b.targets[i] = target
+	ch := b.chunks[i/btbChunk]
+	if ch == nil {
+		ch = new([btbChunk]btbEntry)
+		b.chunks[i/btbChunk] = ch
+	}
+	ch[i%btbChunk] = btbEntry{tag: pc, target: target}
 }
 
 // RAS is the return address stack.

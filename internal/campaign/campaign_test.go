@@ -153,9 +153,9 @@ func TestKeyIgnoresTimeout(t *testing.T) {
 }
 
 // TestKeyIgnoresHostReplayKnobs pins that host-side replay knobs —
-// the μop cache and superblock switches, which cannot change result
-// bytes — never reach the content address: toggling them must not
-// invalidate cached campaign results.
+// the μop cache switch, which cannot change result bytes — never reach
+// the content address: toggling them must not invalidate cached
+// campaign results.
 func TestKeyIgnoresHostReplayKnobs(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	s1 := BenchSpec("mcf", cfg, 0.25, 20000, 0)
@@ -164,8 +164,6 @@ func TestKeyIgnoresHostReplayKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.NoUopCache = true
-	cfg.NoSuperblocks = true
-	cfg.SuperblockChainLen = 2
 	s2 := BenchSpec("mcf", cfg, 0.25, 20000, 0)
 	k2, err := s2.Key()
 	if err != nil {

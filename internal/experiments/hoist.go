@@ -55,9 +55,6 @@ func runWithGuards(ctx context.Context, p *workload.Profile, cfg pipeline.Config
 		cfg.MaxInsts += cfg.WarmupInsts
 	}
 	cfg.MaxCycles = o.MaxCycles
-	if o.NoSuperblocks {
-		cfg.NoSuperblocks = true
-	}
 	sim, err := pipeline.NewSim(prog, cfg, harts(p))
 	if err != nil {
 		return nil, pipeline.GuardStats{}, err

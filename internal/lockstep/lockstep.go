@@ -36,10 +36,6 @@ type Condition struct {
 	// hoisting may change timing but never the committed values or the
 	// violation report.
 	Hoist bool `json:"hoist,omitempty"`
-	// NoSuperblocks disables superblock replay (DESIGN.md §17); replay
-	// must never change a committed byte, so cells differing only in
-	// this knob must agree exactly.
-	NoSuperblocks bool `json:"noSuperblocks,omitempty"`
 }
 
 // Name renders a short stable identifier ("prediction+elide-uop").
@@ -64,19 +60,14 @@ func (c Condition) Name() string {
 	if c.NoUopCache {
 		b.WriteString("-uop")
 	}
-	if c.NoSuperblocks {
-		b.WriteString("-sb")
-	}
 	return b.String()
 }
 
 // DefaultConditions is the acceptance matrix: insecure / always-on /
 // prediction × elision on/off × μop-cache on/off (elision is meaningless
 // without a tracker, so the insecure variant only toggles the cache),
-// plus, per protected variant, one guard-hoisting cell (elide+hoist) and
-// one superblock-replay-off cell over the full elide+hoist stack — the
-// baked-facts path against live map probes — fourteen conditions per
-// program.
+// plus, per protected variant, one guard-hoisting cell (elide+hoist) —
+// twelve conditions per program.
 func DefaultConditions() []Condition {
 	out := []Condition{
 		{Variant: decode.VariantInsecure},
@@ -89,7 +80,6 @@ func DefaultConditions() []Condition {
 			}
 		}
 		out = append(out, Condition{Variant: v, Elide: true, Hoist: true})
-		out = append(out, Condition{Variant: v, Elide: true, Hoist: true, NoSuperblocks: true})
 	}
 	return out
 }
@@ -285,7 +275,6 @@ func runConditionProg(prog *asm.Program, cond Condition, opt RunOptions) *CondRe
 	cfg.Variant = cond.Variant
 	cfg.MaxInsts = opt.MaxInsts
 	cfg.NoUopCache = cond.NoUopCache
-	cfg.NoSuperblocks = cond.NoSuperblocks
 	var erep *elide.Report
 	if cond.Elide {
 		rep, err := elide.ForProgram(prog, elide.Options{Harts: 1})

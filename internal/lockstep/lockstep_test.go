@@ -13,7 +13,7 @@ import (
 )
 
 // fastConditions is a reduced matrix for unit tests (the full
-// fourteen-cell matrix runs in the sweep tests and CI gate).
+// twelve-cell matrix runs in the sweep tests and CI gate).
 func fastConditions() []Condition {
 	full := DefaultConditions()
 	out := make([]Condition, 0, 4)

@@ -110,9 +110,7 @@ const (
 	StepRun
 	// StepICall calls a generated function through a function pointer
 	// materialized in a scratch register — an indirect CALL whose target
-	// comes from a register, not the instruction. The shape exists for
-	// the superblock layer: indirect calls must terminate a block and
-	// never chain.
+	// comes from a register, not the instruction.
 	StepICall
 	// StepJumpTable dispatches through a stack-resident jump table: the
 	// case handlers' addresses are stored to stack slots, the baked

@@ -162,24 +162,6 @@ type Config struct {
 	// CanonicalJSON — and therefore from campaign cache keys — via the
 	// json:"-" tag.
 	NoUopCache bool `json:"-"`
-
-	// NoSuperblocks disables the superblock translation layer
-	// (superblock.go): straight-line runs of decoded translations are no
-	// longer grouped into chained blocks, and every committed instruction
-	// goes through the per-instruction dispatch path. Like NoUopCache it
-	// is a host-performance knob with a byte-identity contract — Result,
-	// violation reports, and the lockstep differential are identical with
-	// superblocks on or off (TestSuperblockDifferential gates this) — so
-	// it is excluded from CanonicalJSON and campaign cache keys.
-	NoSuperblocks bool `json:"-"`
-
-	// SuperblockChainLen bounds how many successor links replay may
-	// follow before forcing a fresh superblock-cache lookup (0 means the
-	// default, sbDefaultChainLen). Purely a host-side knob: chain length
-	// affects how often the replay cursor revalidates against the cache,
-	// never what is simulated, so it shares NoSuperblocks' json:"-"
-	// exclusion.
-	SuperblockChainLen int `json:"-"`
 }
 
 // DefaultConfig returns the Table III machine with the default CHEx86
@@ -318,9 +300,6 @@ func (c *Config) validate(harts int) error {
 	}
 	if c.HoistGuards && !c.ElideChecks {
 		return fail("HoistGuards requires ElideChecks: a guard only attributes checks the elision map suppresses")
-	}
-	if c.SuperblockChainLen < 0 {
-		return fail("superblock chain length %d must be non-negative", c.SuperblockChainLen)
 	}
 	return nil
 }

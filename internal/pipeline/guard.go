@@ -52,13 +52,8 @@ type GuardStats struct {
 // SetGuardMap installs the verified guard map. It only takes effect
 // when Cfg.HoistGuards is also set (which itself requires ElideChecks),
 // so an installed map with the knob off is inert — the fail-closed
-// default. Installing a map bumps the superblock epoch: any block whose
-// baked guard-anchor and subsumption masks were derived from the old map
-// is invalidated before its next replay.
-func (s *Sim) SetGuardMap(m GuardMap) {
-	s.guards = m
-	s.sbEpoch++
-}
+// default.
+func (s *Sim) SetGuardMap(m GuardMap) { s.guards = m }
 
 // GuardStats returns the guard-hoisting attribution counters summed
 // over all harts, windowed past the warmup boundary exactly like the

@@ -71,6 +71,36 @@ func TestNewSimFootprint(t *testing.T) {
 	}
 }
 
+// TestFirstRunFootprint bounds what a short cold run allocates in
+// total: NewSim plus the first 2,000 committed instructions of a small
+// loop. The front end must grow with the code it executes — μop-cache
+// slots and BTB entries materialize by chunk on first insert, and the
+// bimodal table needs no init pass — so a run this short may not pay for
+// the full Table III front end.
+func TestFirstRunFootprint(t *testing.T) {
+	const limit = 256 << 10
+	for _, v := range []decode.Variant{decode.VariantInsecure, decode.VariantMicrocodePrediction} {
+		prog := steadyLoopProgram()
+		cfg := DefaultConfig()
+		cfg.Variant = v
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sim, err := NewSim(prog, cfg, 1)
+		if err == nil {
+			_, err = sim.Step(2000)
+		}
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		n := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%v: NewSim + 2000 steps allocated %d bytes", v, n)
+		if n > limit {
+			t.Errorf("%v: NewSim + 2000 steps allocated %d bytes, want <= %d", v, n, limit)
+		}
+	}
+}
+
 // TestProcessRecSteadyStateAllocs asserts the tentpole's zero-allocation
 // contract on the insecure baseline: one full Sim.Step — emulator step,
 // record pooling, decode (μop cache hit), instrumentation, and timing —

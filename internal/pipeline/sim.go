@@ -206,15 +206,6 @@ type coreCtx struct {
 	// uc is the decoded-μop translation cache (uopcache.go).
 	uc uopCache
 
-	// Superblock translation layer (superblock.go): the per-core block
-	// cache, the active replay cursor with its macro index and chain
-	// depth, and the block under construction.
-	sb      sbCache
-	sbCur   *superblock
-	sbIdx   int
-	sbChain int
-	sbBuild sbBuilder
-
 	done    bool
 	uopBuf  []isa.Uop
 	planBuf []uopPlan
@@ -267,12 +258,6 @@ type Sim struct {
 	// guards attributes elided checks to verified hoisted block guards;
 	// consulted only when Cfg.HoistGuards is set (see guard.go).
 	guards GuardMap
-
-	// sbEpoch is the elision/guard installation epoch: SetElisionMap and
-	// SetGuardMap bump it so superblocks whose baked masks were derived
-	// from an older map are invalidated before their next replay
-	// (superblock.go).
-	sbEpoch uint64
 
 	llc  *cache.LineCache
 	dram *mem.DRAM

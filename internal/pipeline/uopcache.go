@@ -39,6 +39,17 @@ type uopEntry struct {
 // compares — this sits on the per-committed-instruction critical path.
 const uopCacheSlots = 1 << 12
 
+// The slots are materialized in chunks of uopChunkSlots consecutive
+// slots, each allocated on the first insert into its range: a short run
+// pays for the code it executes, not for the full capacity.
+const (
+	uopChunkBits   = 6
+	uopChunkSlots  = 1 << uopChunkBits
+	uopCacheChunks = uopCacheSlots / uopChunkSlots
+)
+
+type uopChunk [uopChunkSlots]uopEntry
+
 // uopCache is the per-core decoded-μop translation cache: the simulator's
 // analogue of a decoded-stream buffer. It memoizes Decoder.Native +
 // Microcode.Apply keyed by instruction address, direct-mapped over
@@ -56,7 +67,10 @@ const uopCacheSlots = 1 << 12
 // cache's own counters are reported out of band (UopCacheStats), never in
 // Result.
 type uopCache struct {
-	slots []uopEntry
+	// chunks holds slot i at chunks[i>>uopChunkBits][i%uopChunkSlots]; a
+	// nil chunk has never been inserted into, and every lookup in its
+	// range misses without allocating.
+	chunks [uopCacheChunks]*uopChunk
 
 	hits          uint64
 	misses        uint64
@@ -75,18 +89,17 @@ func uopSlot(addr uint64) uint64 {
 // an invalidation and reports a miss (the slot is overwritten by the
 // subsequent insert).
 func (uc *uopCache) lookup(addr, gen uint64) *uopEntry {
-	if uc.slots == nil {
-		uc.misses++
-		return nil
-	}
-	e := &uc.slots[uopSlot(addr)]
-	if e.valid && e.addr == addr {
-		if e.gen == gen {
-			uc.hits++
-			return e
+	i := uopSlot(addr)
+	if ch := uc.chunks[i>>uopChunkBits]; ch != nil {
+		e := &ch[i&(uopChunkSlots-1)]
+		if e.valid && e.addr == addr {
+			if e.gen == gen {
+				uc.hits++
+				return e
+			}
+			uc.invalidations++
+			e.valid = false
 		}
-		uc.invalidations++
-		e.valid = false
 	}
 	uc.misses++
 	return nil
@@ -97,16 +110,34 @@ func (uc *uopCache) lookup(addr, gen uint64) *uopEntry {
 // stages mutate per dynamic instance, while the cached copy stays
 // immutable for the entry's lifetime.
 func (uc *uopCache) insert(addr, gen uint64, uops []isa.Uop, nativeUops uint64, rerouted bool) {
-	if uc.slots == nil {
-		uc.slots = make([]uopEntry, uopCacheSlots)
+	i := uopSlot(addr)
+	ch := uc.chunks[i>>uopChunkBits]
+	if ch == nil {
+		ch = new(uopChunk)
+		uc.chunks[i>>uopChunkBits] = ch
 	}
-	e := &uc.slots[uopSlot(addr)]
+	e := &ch[i&(uopChunkSlots-1)]
 	cp := e.uops[:0] // a conflict-evicted slot's backing array is reusable
 	if cap(cp) < len(uops) {
 		cp = make([]isa.Uop, 0, len(uops))
 	}
 	cp = append(cp, uops...)
 	*e = uopEntry{addr: addr, valid: true, uops: cp, nativeUops: nativeUops, rerouted: rerouted, gen: gen}
+}
+
+// entries counts the valid slots, walking only the allocated chunks.
+func (uc *uopCache) entries() (n int) {
+	for _, ch := range uc.chunks {
+		if ch == nil {
+			continue
+		}
+		for i := range ch {
+			if ch[i].valid {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // UopCacheStats reports μop-translation-cache activity. It is surfaced
@@ -135,11 +166,7 @@ func (s *Sim) UopCacheStats() UopCacheStats {
 		st.Hits += c.uc.hits
 		st.Misses += c.uc.misses
 		st.Invalidations += c.uc.invalidations
-		for i := range c.uc.slots {
-			if c.uc.slots[i].valid {
-				st.Entries++
-			}
-		}
+		st.Entries += c.uc.entries()
 	}
 	return st
 }

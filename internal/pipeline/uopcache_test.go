@@ -225,9 +225,6 @@ func ExampleSim_UopCacheStats() {
 	prog, _ := p.Build(0.1)
 	cfg := DefaultConfig()
 	cfg.MaxInsts = 5000
-	// Superblock replay bypasses per-instruction μop-cache probes; turn it
-	// off so the hit rate reflects the cache this example demonstrates.
-	cfg.NoSuperblocks = true
 	sim, _ := NewSim(prog, cfg, 1)
 	_, _ = sim.Run()
 	st := sim.UopCacheStats()
