@@ -418,7 +418,7 @@ func runCampaign(f campaignFlags) error {
 	var jobs []*campaign.Job
 	for _, vname := range strings.Split(f.variants, ",") {
 		vname = strings.TrimSpace(vname)
-		v, ok := campaign.VariantByName(vname)
+		v, ok := decode.ParseVariant(vname)
 		if !ok {
 			return fmt.Errorf("unknown variant %q", vname)
 		}
@@ -508,34 +508,13 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 // simulated instruction — for each (workload, variant) pair, normalized
 // by a host-speed calibration score so numbers are comparable across
 // machines. This is the interactive face of the CI benchmark gate
-// (cmd/chexperf); both share internal/hostperf.
+// (cmd/chexperf); both run hostperf.MeasureAll, here with one sample per
+// pair.
 func runKinst(benches, variants string, scale float64, insts uint64) error {
 	clock := func() int64 { return time.Now().UnixNano() } //determinism:ok — CLI wall-time probe
-	names := workload.Names()
-	if benches != "" {
-		names = strings.Split(benches, ",")
-	}
-	var vs []decode.Variant
-	for _, vname := range strings.Split(variants, ",") {
-		v, ok := campaign.VariantByName(strings.TrimSpace(vname))
-		if !ok {
-			return fmt.Errorf("unknown variant %q", vname)
-		}
-		vs = append(vs, v)
-	}
-	rep := &hostperf.Report{HostScore: hostperf.Calibrate(clock)}
-	for _, name := range names {
-		p := workload.ByName(strings.TrimSpace(name))
-		if p == nil {
-			return fmt.Errorf("unknown workload %q", name)
-		}
-		for _, v := range vs {
-			s, err := hostperf.Measure(clock, p, v, hostperf.MeasureOpts{Scale: scale, MaxInsts: insts})
-			if err != nil {
-				return err
-			}
-			rep.Samples = append(rep.Samples, s)
-		}
+	rep, err := hostperf.MeasureAll(clock, benches, variants, hostperf.MeasureOpts{Scale: scale, MaxInsts: insts}, 1)
+	if err != nil {
+		return err
 	}
 	fmt.Print(hostperf.Format(rep))
 	return nil

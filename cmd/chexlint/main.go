@@ -42,8 +42,8 @@ import (
 	"strings"
 	"time"
 
+	"chex86/internal/decode"
 	"chex86/internal/elide"
-	"chex86/internal/faultinject"
 	"chex86/internal/ptrflow"
 	"chex86/internal/workload"
 )
@@ -69,7 +69,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	variant, ok := faultinject.VariantByName(*variantFlag)
+	variant, ok := decode.ParseVariant(*variantFlag)
 	if !ok {
 		fail(fmt.Errorf("unknown variant %q", *variantFlag))
 	}
@@ -106,7 +106,7 @@ func main() {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 		rep, err := ptrflow.Crosscheck(ctx, prog, ptrflow.CheckOptions{
-			Harts:     harts(p),
+			Harts:     p.Harts(),
 			Variant:   variant,
 			MaxInsts:  *insts,
 			MaxCycles: *maxCycles,
@@ -164,11 +164,11 @@ func runElide(profiles []*workload.Profile, scale float64, ctxK, contexts int, j
 		if err != nil {
 			return fmt.Errorf("%s: %w", p.Name, err)
 		}
-		an, err := ptrflow.Analyze(prog, ptrflow.Options{Harts: harts(p), ContextK: ctxK})
+		an, err := ptrflow.Analyze(prog, ptrflow.Options{Harts: p.Harts(), ContextK: ctxK})
 		if err != nil {
 			return fmt.Errorf("%s: %w", p.Name, err)
 		}
-		rep := elide.FromAnalysis(prog, an, elide.Options{Harts: harts(p), ContextK: ctxK})
+		rep := elide.FromAnalysis(prog, an, elide.Options{Harts: p.Harts(), ContextK: ctxK})
 
 		// Join checker decisions onto the analyzer's per-context
 		// verdicts: proof status is the decision at the exact context,
@@ -250,7 +250,7 @@ func runGuards(profiles []*workload.Profile, scale float64, ctxK int, jsonOut bo
 		if err != nil {
 			return fmt.Errorf("%s: %w", p.Name, err)
 		}
-		rep, err := elide.ForProgram(prog, elide.Options{Harts: harts(p), ContextK: ctxK})
+		rep, err := elide.ForProgram(prog, elide.Options{Harts: p.Harts(), ContextK: ctxK})
 		if err != nil {
 			return fmt.Errorf("%s: %w", p.Name, err)
 		}
@@ -299,7 +299,7 @@ func staticOnly(p *workload.Profile, scale float64) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", p.Name, err)
 	}
-	an, err := ptrflow.Analyze(prog, ptrflow.Options{Harts: harts(p)})
+	an, err := ptrflow.Analyze(prog, ptrflow.Options{Harts: p.Harts()})
 	if err != nil {
 		return fmt.Errorf("%s: %w", p.Name, err)
 	}
@@ -324,13 +324,6 @@ func selectProfiles(names string) ([]*workload.Profile, error) {
 		out = append(out, p)
 	}
 	return out, nil
-}
-
-func harts(p *workload.Profile) int {
-	if p.Threads > 0 {
-		return p.Threads
-	}
-	return 1
 }
 
 func fail(err error) {

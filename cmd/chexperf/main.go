@@ -23,13 +23,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
-	"chex86/internal/decode"
-	"chex86/internal/faultinject"
 	"chex86/internal/hostperf"
-	"chex86/internal/workload"
 )
 
 func main() {
@@ -47,7 +43,7 @@ func main() {
 
 	clock := func() int64 { return time.Now().UnixNano() } //determinism:ok — CLI wall-time probe
 
-	rep, err := measureAll(clock, *benches, *variants, *scale, *insts, *runs)
+	rep, err := hostperf.MeasureAll(clock, *benches, *variants, hostperf.MeasureOpts{Scale: *scale, MaxInsts: *insts}, *runs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chexperf:", err)
 		os.Exit(1)
@@ -96,41 +92,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("gate passed: %d samples within %.0f%% of %s\n", len(rep.Samples), *tolerance*100, *baselinePath)
-}
-
-// measureAll runs the benchmark matrix, keeping the fastest of -runs
-// samples per pair.
-func measureAll(clock hostperf.Clock, benches, variants string, scale float64, insts uint64, runs int) (*hostperf.Report, error) {
-	if runs < 1 {
-		runs = 1
-	}
-	var vs []decode.Variant
-	for _, name := range strings.Split(variants, ",") {
-		v, ok := faultinject.VariantByName(strings.TrimSpace(name))
-		if !ok {
-			return nil, fmt.Errorf("unknown variant %q", name)
-		}
-		vs = append(vs, v)
-	}
-	rep := &hostperf.Report{HostScore: hostperf.Calibrate(clock)}
-	for _, name := range strings.Split(benches, ",") {
-		p := workload.ByName(strings.TrimSpace(name))
-		if p == nil {
-			return nil, fmt.Errorf("unknown workload %q", name)
-		}
-		for _, v := range vs {
-			var best hostperf.Sample
-			for r := 0; r < runs; r++ {
-				s, err := hostperf.Measure(clock, p, v, hostperf.MeasureOpts{Scale: scale, MaxInsts: insts})
-				if err != nil {
-					return nil, err
-				}
-				if r == 0 || s.WallNS < best.WallNS {
-					best = s
-				}
-			}
-			rep.Samples = append(rep.Samples, best)
-		}
-	}
-	return rep, nil
 }

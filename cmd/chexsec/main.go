@@ -23,15 +23,6 @@ import (
 	"chex86/internal/security"
 )
 
-var variants = map[string]decode.Variant{
-	"baseline":   decode.VariantInsecure,
-	"hardware":   decode.VariantHardwareOnly,
-	"bintrans":   decode.VariantBinaryTranslation,
-	"always-on":  decode.VariantMicrocodeAlwaysOn,
-	"prediction": decode.VariantMicrocodePrediction,
-	"watchdog":   decode.VariantWatchdog,
-}
-
 func main() {
 	suite := flag.String("suite", "", "restrict to one suite: RIPE | 'ASan tests' | How2Heap | 'False positives'")
 	variant := flag.String("variant", "prediction", "protection variant")
@@ -39,7 +30,7 @@ func main() {
 	jsonPath := flag.String("json", "", "write per-exploit outcomes as JSON to this file")
 	flag.Parse()
 
-	v, ok := variants[strings.ToLower(*variant)]
+	v, ok := decode.ParseVariant(*variant)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "chexsec: unknown variant %q\n", *variant)
 		os.Exit(2)

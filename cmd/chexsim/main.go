@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"chex86/internal/asm"
 	"chex86/internal/core"
@@ -27,19 +26,9 @@ import (
 	"chex86/internal/workload"
 )
 
-var variants = map[string]decode.Variant{
-	"baseline":   decode.VariantInsecure,
-	"hardware":   decode.VariantHardwareOnly,
-	"bintrans":   decode.VariantBinaryTranslation,
-	"always-on":  decode.VariantMicrocodeAlwaysOn,
-	"prediction": decode.VariantMicrocodePrediction,
-	"asan":       decode.VariantASan,
-	"watchdog":   decode.VariantWatchdog,
-}
-
 func main() {
 	bench := flag.String("bench", "perlbench", "benchmark name (see -list)")
-	variant := flag.String("variant", "prediction", "protection variant: baseline|hardware|bintrans|always-on|prediction|asan")
+	variant := flag.String("variant", "prediction", "protection variant: baseline|hardware|bintrans|always-on|prediction|asan|watchdog")
 	scale := flag.Float64("scale", 1.0, "workload scale factor (round-count multiplier)")
 	insts := flag.Uint64("insts", 0, "macro-instruction budget (0 = run to completion)")
 	checker := flag.Bool("checker", false, "enable the hardware checker co-processor")
@@ -54,12 +43,12 @@ func main() {
 
 	if *list {
 		for _, p := range workload.Catalog() {
-			fmt.Printf("%-14s %-12s threads=%d  %s\n", p.Name, p.Suite, max(1, p.Threads), p.About)
+			fmt.Printf("%-14s %-12s threads=%d  %s\n", p.Name, p.Suite, p.Harts(), p.About)
 		}
 		return
 	}
 
-	v, ok := variants[strings.ToLower(*variant)]
+	v, ok := decode.ParseVariant(*variant)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "chexsim: unknown variant %q\n", *variant)
 		os.Exit(2)
@@ -70,9 +59,8 @@ func main() {
 		err   error
 		name  = *bench
 		suite = "object image"
-		harts = 1
+		prof  *workload.Profile // nil for an object image
 	)
-	cfg := pipeline.DefaultConfig()
 	if *objPath != "" {
 		// Simulate a previously saved image: the loader re-seeds
 		// capabilities and alias entries from its .symtab/.reloc sections
@@ -84,12 +72,12 @@ func main() {
 		}
 		name = *objPath
 	} else {
-		p := workload.ByName(*bench)
-		if p == nil {
+		prof = workload.ByName(*bench)
+		if prof == nil {
 			fmt.Fprintf(os.Stderr, "chexsim: unknown benchmark %q (try -list)\n", *bench)
 			os.Exit(2)
 		}
-		prog, err = p.Build(*scale)
+		prog, err = prof.Build(*scale)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "chexsim:", err)
 			os.Exit(1)
@@ -102,19 +90,12 @@ func main() {
 			fmt.Printf("%s: %s\n", *savePath, objfile.Summarize(prog))
 			return
 		}
-		suite = p.Suite
-		cfg.WarmupInsts = p.SetupInsts()
-		if p.Threads > 0 {
-			harts = p.Threads
-		}
+		suite = prof.Suite
 	}
+	cfg := pipeline.DefaultConfig()
 	cfg.Variant = v
-	cfg.MaxInsts = *insts
-	if cfg.MaxInsts > 0 {
-		cfg.MaxInsts += cfg.WarmupInsts
-	}
 	cfg.EnableChecker = *checker
-	cfg.MaxCycles = *maxCycles
+	cfg, harts := pipeline.ForProfile(cfg, prof, *insts, *maxCycles)
 	sim, err := pipeline.NewSim(prog, cfg, harts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chexsim:", err)
@@ -188,10 +169,3 @@ func main() {
 }
 
 func kb(b uint64) string { return fmt.Sprintf("%.1fKB", float64(b)/1024) }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -7,6 +7,8 @@
 package decode
 
 import (
+	"strings"
+
 	"chex86/internal/core"
 	"chex86/internal/isa"
 )
@@ -297,12 +299,49 @@ var variantNames = [NumVariants]string{
 	"Watchdog-style (conservative uop instrumentation)",
 }
 
+// variantShortNames are the canonical short spellings, indexed by Variant.
+var variantShortNames = [NumVariants]string{
+	"baseline",
+	"hardware",
+	"bintrans",
+	"always-on",
+	"prediction",
+	"asan",
+	"watchdog",
+}
+
 // String names the variant as in Figure 6's legend.
 func (v Variant) String() string {
 	if v < NumVariants {
 		return variantNames[v]
 	}
 	return "variant?"
+}
+
+// ShortName is the variant's canonical short spelling: the name every CLI
+// accepts and every report column, baseline key and campaign spec uses
+// (String is the long display form, too wide for tables and too fragile
+// for JSON keys).
+func (v Variant) ShortName() string {
+	if v < NumVariants {
+		return variantShortNames[v]
+	}
+	return v.String()
+}
+
+// ParseVariant is ShortName's inverse. It ignores case and also accepts
+// "insecure" for the baseline.
+func ParseVariant(name string) (Variant, bool) {
+	name = strings.ToLower(name)
+	if name == "insecure" {
+		return VariantInsecure, true
+	}
+	for v, n := range variantShortNames {
+		if n == name {
+			return Variant(v), true
+		}
+	}
+	return 0, false
 }
 
 // Protected reports whether the variant provides memory-safety protection.
@@ -371,13 +410,6 @@ func (d *Decoder) Customize(native []isa.Uop, decide func(memUop *isa.Uop) Check
 	return out, msrom
 }
 
-// CapEventUops returns the capability micro-ops injected for an
-// intercepted allocator entry/exit event (Section IV-C).
-func (d *Decoder) CapEventUops(t isa.UopType, pid core.PID) []isa.Uop {
-	d.Stats.InjectedUops++
-	return []isa.Uop{{Type: t, Dst: isa.RNone, Src1: isa.RNone, PID: pid, Injected: true}}
-}
-
 // ASanShadowBase is the base of the modeled AddressSanitizer shadow region
 // (shadow byte address = (addr >> 3) + base).
 const ASanShadowBase = 0x0000_1000_0000_0000
@@ -389,17 +421,20 @@ const ASanShadowBase = 0x0000_1000_0000_0000
 const WatchdogShadowBase = 0x0000_2000_0000_0000
 
 // ASanInstrument wraps a macro-op's native expansion with AddressSanitizer-
-// style software checks: for every memory micro-op, compute the shadow
-// address (1 ALU op), load the shadow byte (1 load), and test-and-branch on
-// it (2 ops). The shadow load's EA is derived from the access EA so the
-// checks exert real cache pressure.
-func (d *Decoder) ASanInstrument(native []isa.Uop) []isa.Uop {
-	out := make([]isa.Uop, 0, len(native)*4)
+// style software checks and appends the result to dst: for every memory
+// micro-op, compute the shadow address (1 ALU op), load the shadow byte
+// (1 load), and test-and-branch on it (2 ops). ea is the macro-op's
+// effective address; the appended memory micro-ops carry it, and the
+// shadow load's EA is derived from it so the checks exert real cache
+// pressure. native is not modified.
+func (d *Decoder) ASanInstrument(dst, native []isa.Uop, ea uint64) []isa.Uop {
+	start := len(dst)
 	for i := range native {
-		u := &native[i]
+		u := native[i]
 		if u.Type.IsMem() {
-			shadowEA := (u.EA >> 3) + ASanShadowBase
-			out = append(out,
+			u.EA = ea
+			shadowEA := (ea >> 3) + ASanShadowBase
+			dst = append(dst,
 				isa.Uop{Type: isa.ULea, Dst: isa.T1, Src1: isa.RNone, Src2: isa.RNone, Mem: u.Mem, Injected: true},
 				isa.Uop{Type: isa.UAlu, Alu: isa.AluShr, Dst: isa.T1, Src1: isa.T1, Src2: isa.RNone, Imm: 3, HasImm: true, Injected: true},
 				isa.Uop{Type: isa.ULoad, Dst: isa.T1, Src1: isa.RNone, Src2: isa.RNone, EA: shadowEA, Injected: true,
@@ -409,10 +444,10 @@ func (d *Decoder) ASanInstrument(native []isa.Uop) []isa.Uop {
 			)
 			d.Stats.InjectedUops += 5
 		}
-		out = append(out, *u)
+		dst = append(dst, u)
 	}
-	for i := range out {
-		out[i].MacroIdx = uint8(i)
+	for i := start; i < len(dst); i++ {
+		dst[i].MacroIdx = uint8(i - start)
 	}
-	return out
+	return dst
 }

@@ -136,8 +136,7 @@ func TestASanInstrument(t *testing.T) {
 	var d Decoder
 	in := isa.Inst{Op: isa.MOV, Dst: isa.RegOp(isa.RAX), Src: isa.MemOp(isa.RBX, 0)}
 	native := d.Native(&in, nil)
-	native[0].EA = 0x10000
-	out := d.ASanInstrument(native)
+	out := d.ASanInstrument(nil, native, 0x10000)
 	if len(out) != 6 {
 		t.Fatalf("ASan adds 5 check uops around the access, got %d total", len(out))
 	}
@@ -238,5 +237,44 @@ func TestMicrocodeFirstMatchWins(t *testing.T) {
 	out, _ := m.Apply(&in, nil)
 	if len(out) != 2 {
 		t.Fatalf("installation order must decide precedence, got %d uops", len(out))
+	}
+}
+
+// TestVariantNames pins the short-name table: every variant round-trips
+// through ParseVariant, every spelling a CLI has accepted still resolves
+// to the same variant, and the rendered names are unchanged (they key
+// bench baselines, campaign specs and report columns).
+func TestVariantNames(t *testing.T) {
+	want := [NumVariants]string{"baseline", "hardware", "bintrans", "always-on", "prediction", "asan", "watchdog"}
+	for v := Variant(0); v < NumVariants; v++ {
+		if got := v.ShortName(); got != want[v] {
+			t.Errorf("%v: ShortName %q, want %q", v, got, want[v])
+		}
+		if got, ok := ParseVariant(v.ShortName()); !ok || got != v {
+			t.Errorf("ParseVariant(%q) = %v, %v; want %v", v.ShortName(), got, ok, v)
+		}
+	}
+	accepted := map[string]Variant{
+		"baseline": VariantInsecure, "insecure": VariantInsecure,
+		"BASELINE": VariantInsecure, "Insecure": VariantInsecure,
+		"hardware": VariantHardwareOnly, "Hardware": VariantHardwareOnly,
+		"bintrans": VariantBinaryTranslation, "BinTrans": VariantBinaryTranslation,
+		"always-on": VariantMicrocodeAlwaysOn, "Always-On": VariantMicrocodeAlwaysOn,
+		"prediction": VariantMicrocodePrediction, "PREDICTION": VariantMicrocodePrediction,
+		"asan": VariantASan, "ASan": VariantASan,
+		"watchdog": VariantWatchdog, "WatchDog": VariantWatchdog,
+	}
+	for name, v := range accepted {
+		if got, ok := ParseVariant(name); !ok || got != v {
+			t.Errorf("ParseVariant(%q) = %v, %v; want %v", name, got, ok, v)
+		}
+	}
+	for _, name := range []string{"", "always_on", "predict", " prediction", "variant?"} {
+		if v, ok := ParseVariant(name); ok {
+			t.Errorf("ParseVariant(%q) accepted as %v", name, v)
+		}
+	}
+	if got := NumVariants.ShortName(); got != "variant?" {
+		t.Errorf("out-of-range ShortName %q, want %q", got, "variant?")
 	}
 }

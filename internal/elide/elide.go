@@ -118,6 +118,33 @@ func ForProgram(prog *asm.Program, opt Options) (*Report, error) {
 	return FromAnalysis(prog, an, opt), nil
 }
 
+// NewSim builds a Sim for prog under cfg with rep's verified maps
+// installed. It turns on ElideChecks, records the map's digest and
+// call-string depth (ElisionDigest, ElisionCtxK), and installs the
+// elision map; with guards it also turns on HoistGuards, records
+// GuardDigest and installs the guard map. A nil rep builds a plain Sim.
+func NewSim(prog *asm.Program, cfg pipeline.Config, harts int, rep *Report, guards bool) (*pipeline.Sim, error) {
+	if rep == nil {
+		return pipeline.NewSim(prog, cfg, harts)
+	}
+	cfg.ElideChecks = true
+	cfg.ElisionDigest = rep.Digest
+	cfg.ElisionCtxK = rep.CtxK
+	if guards {
+		cfg.HoistGuards = true
+		cfg.GuardDigest = rep.Guards.Digest
+	}
+	sim, err := pipeline.NewSim(prog, cfg, harts)
+	if err != nil {
+		return nil, err
+	}
+	sim.SetElisionMap(rep.Map)
+	if guards {
+		sim.SetGuardMap(rep.Guards.Map)
+	}
+	return sim, nil
+}
+
 // FromAnalysis verifies an existing analysis' proof bundle.
 func FromAnalysis(prog *asm.Program, an *ptrflow.Analysis, opt Options) *Report {
 	harts := opt.Harts

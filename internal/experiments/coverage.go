@@ -55,7 +55,7 @@ func RunCoverage(o Options) ([]CoverageRow, error) {
 			maxInsts += p.SetupInsts()
 		}
 		rep, err := ptrflow.Crosscheck(ctx, prog, ptrflow.CheckOptions{
-			Harts:     harts(p),
+			Harts:     p.Harts(),
 			MaxInsts:  maxInsts,
 			MaxCycles: o.MaxCycles,
 		})

@@ -7,7 +7,6 @@ import (
 
 	"chex86/internal/elide"
 	"chex86/internal/pipeline"
-	"chex86/internal/workload"
 )
 
 // ElisionRow is one benchmark's proof-carrying check-elision measurement:
@@ -51,28 +50,6 @@ func (r *ElisionRow) Speedup() float64 {
 	return float64(r.BaseCycles) / float64(r.ElideCycles)
 }
 
-// runWithElision executes one benchmark under cfg with an elision map
-// installed (RunOne's measurement policy otherwise).
-func runWithElision(ctx context.Context, p *workload.Profile, cfg pipeline.Config,
-	o *Options, m pipeline.ElisionMap) (*pipeline.Result, error) {
-	prog, err := p.Build(o.Scale)
-	if err != nil {
-		return nil, err
-	}
-	cfg.WarmupInsts = p.SetupInsts()
-	cfg.MaxInsts = o.MaxInsts
-	if cfg.MaxInsts > 0 {
-		cfg.MaxInsts += cfg.WarmupInsts
-	}
-	cfg.MaxCycles = o.MaxCycles
-	sim, err := pipeline.NewSim(prog, cfg, harts(p))
-	if err != nil {
-		return nil, err
-	}
-	sim.SetElisionMap(m)
-	return o.runSim(ctx, sim)
-}
-
 // RunElision measures proof-carrying check elision across the selected
 // benchmarks under the prediction-driven variant: analyze, verify,
 // replay with and without the verified map.
@@ -83,7 +60,7 @@ func RunElision(o Options) ([]ElisionRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := elide.ForProgram(prog, elide.Options{Harts: harts(p), ContextK: o.ContextK})
+		rep, err := elide.ForProgram(prog, elide.Options{Harts: p.Harts(), ContextK: o.ContextK})
 		if err != nil {
 			return nil, fmt.Errorf("elision %s: %w", p.Name, err)
 		}
@@ -102,18 +79,13 @@ func RunElision(o Options) ([]ElisionRow, error) {
 			}
 		}
 
-		ctx := context.Background()
 		base, err := run(p, pipeline.DefaultConfig(), &o)
 		if err != nil {
 			return nil, fmt.Errorf("elision %s (baseline): %w", p.Name, err)
 		}
 		row.BaseCycles = base.Cycles
 
-		cfg := pipeline.DefaultConfig()
-		cfg.ElideChecks = true
-		cfg.ElisionDigest = rep.Digest
-		cfg.ElisionCtxK = rep.CtxK
-		res, err := runWithElision(ctx, p, cfg, &o, rep.Map)
+		res, _, err := o.runProfile(context.Background(), p, pipeline.DefaultConfig(), rep, false)
 		if err != nil {
 			return nil, fmt.Errorf("elision %s (elide): %w", p.Name, err)
 		}

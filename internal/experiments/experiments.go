@@ -21,6 +21,7 @@ import (
 
 	"chex86/internal/core"
 	"chex86/internal/decode"
+	"chex86/internal/elide"
 	"chex86/internal/patterns"
 	"chex86/internal/pipeline"
 	"chex86/internal/workload"
@@ -71,13 +72,6 @@ func (o *Options) profiles() []*workload.Profile {
 	return out
 }
 
-func harts(p *workload.Profile) int {
-	if p.Threads > 0 {
-		return p.Threads
-	}
-	return 1
-}
-
 // run executes one benchmark under one config, excluding the program's
 // setup phase from measurement (SimPoint-style warmup).
 func run(p *workload.Profile, cfg pipeline.Config, o *Options) (*pipeline.Result, error) {
@@ -90,21 +84,27 @@ func run(p *workload.Profile, cfg pipeline.Config, o *Options) (*pipeline.Result
 // figure runners above and the campaign subsystem's bench jobs; ctx cancels
 // the run (campaign workers thread their pool context through here).
 func RunOne(ctx context.Context, p *workload.Profile, cfg pipeline.Config, o *Options) (*pipeline.Result, error) {
+	res, _, err := o.runProfile(ctx, p, cfg, nil, false)
+	return res, err
+}
+
+// runProfile builds benchmark p at the harness scale and runs it under the
+// measurement policy (pipeline.ForProfile), with rep's verified maps
+// installed when rep is non-nil (elide.NewSim). The finished Sim is
+// returned for callers that read its counters.
+func (o *Options) runProfile(ctx context.Context, p *workload.Profile, cfg pipeline.Config,
+	rep *elide.Report, guards bool) (*pipeline.Result, *pipeline.Sim, error) {
 	prog, err := p.Build(o.Scale)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	cfg.WarmupInsts = p.SetupInsts()
-	cfg.MaxInsts = o.MaxInsts
-	if cfg.MaxInsts > 0 {
-		cfg.MaxInsts += cfg.WarmupInsts
-	}
-	cfg.MaxCycles = o.MaxCycles
-	sim, err := pipeline.NewSim(prog, cfg, harts(p))
+	cfg, harts := pipeline.ForProfile(cfg, p, o.MaxInsts, o.MaxCycles)
+	sim, err := elide.NewSim(prog, cfg, harts, rep, guards)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return o.runSim(ctx, sim)
+	res, err := o.runSim(ctx, sim)
+	return res, sim, err
 }
 
 // ---------------------------------------------------------------------
@@ -498,7 +498,7 @@ func RunTable2(o Options) ([]Table2Result, error) {
 		cfg := pipeline.DefaultConfig()
 		cfg.MaxInsts = o.MaxInsts
 		cfg.MaxCycles = o.MaxCycles
-		sim, err := pipeline.NewSim(prog, cfg, harts(p))
+		sim, err := pipeline.NewSim(prog, cfg, p.Harts())
 		if err != nil {
 			return nil, err
 		}

@@ -7,15 +7,15 @@ import (
 
 	"chex86/internal/elide"
 	"chex86/internal/pipeline"
-	"chex86/internal/workload"
 )
 
 // HoistRow is one benchmark's hoisted-guard measurement: the verified
 // guard set the checker admitted (DESIGN.md §16) and the dynamic
 // attribution of suppressed capability checks to those guards. The
 // executed check set is identical with guards on or off — the
-// differential gate (TestGuardDiff) holds Result JSON and violation
-// reports byte-identical — so the row reports attribution, not timing.
+// differential gate (TestGuardDiff) holds the check counts equal and
+// violation reports byte-identical — so the row reports attribution, not
+// timing.
 type HoistRow struct {
 	Bench string `json:"bench"`
 
@@ -41,35 +41,6 @@ func (r *HoistRow) HoistRate() float64 {
 	return float64(r.Subsumed) / float64(total)
 }
 
-// runWithGuards executes one benchmark with the verified elision and
-// guard maps installed, returning the result plus the guard counters.
-func runWithGuards(ctx context.Context, p *workload.Profile, cfg pipeline.Config,
-	o *Options, rep *elide.Report) (*pipeline.Result, pipeline.GuardStats, error) {
-	prog, err := p.Build(o.Scale)
-	if err != nil {
-		return nil, pipeline.GuardStats{}, err
-	}
-	cfg.WarmupInsts = p.SetupInsts()
-	cfg.MaxInsts = o.MaxInsts
-	if cfg.MaxInsts > 0 {
-		cfg.MaxInsts += cfg.WarmupInsts
-	}
-	cfg.MaxCycles = o.MaxCycles
-	sim, err := pipeline.NewSim(prog, cfg, harts(p))
-	if err != nil {
-		return nil, pipeline.GuardStats{}, err
-	}
-	sim.SetElisionMap(rep.Map)
-	if cfg.HoistGuards {
-		sim.SetGuardMap(rep.Guards.Map)
-	}
-	res, err := o.runSim(ctx, sim)
-	if err != nil {
-		return nil, pipeline.GuardStats{}, err
-	}
-	return res, sim.GuardStats(), nil
-}
-
 // RunHoist measures dominator-based check subsumption across the
 // selected benchmarks: analyze, verify the guard claims fail-closed,
 // replay with the verified guard map installed, and report how many
@@ -82,7 +53,7 @@ func RunHoist(o Options) ([]HoistRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := elide.ForProgram(prog, elide.Options{Harts: harts(p), ContextK: o.ContextK})
+		rep, err := elide.ForProgram(prog, elide.Options{Harts: p.Harts(), ContextK: o.ContextK})
 		if err != nil {
 			return nil, fmt.Errorf("hoist %s: %w", p.Name, err)
 		}
@@ -94,16 +65,11 @@ func RunHoist(o Options) ([]HoistRow, error) {
 		}
 		row.Covered = rep.Guards.Stats.Covered
 
-		cfg := pipeline.DefaultConfig()
-		cfg.ElideChecks = true
-		cfg.ElisionDigest = rep.Digest
-		cfg.ElisionCtxK = rep.CtxK
-		cfg.HoistGuards = true
-		cfg.GuardDigest = rep.Guards.Digest
-		res, gs, err := runWithGuards(ctx, p, cfg, &o, rep)
+		res, sim, err := o.runProfile(ctx, p, pipeline.DefaultConfig(), rep, true)
 		if err != nil {
 			return nil, fmt.Errorf("hoist %s (run): %w", p.Name, err)
 		}
+		gs := sim.GuardStats()
 		row.ChecksRun = res.ChecksRun
 		row.ChecksElided = res.ChecksElided
 		row.GuardUops = gs.GuardUops

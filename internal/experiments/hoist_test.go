@@ -34,7 +34,7 @@ func TestGuardDiff(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: build: %v", p.Name, err)
 		}
-		rep, err := elide.ForProgram(prog, elide.Options{Harts: harts(p)})
+		rep, err := elide.ForProgram(prog, elide.Options{Harts: p.Harts()})
 		if err != nil {
 			t.Fatalf("%s: elide: %v", p.Name, err)
 		}
@@ -42,23 +42,17 @@ func TestGuardDiff(t *testing.T) {
 			t.Fatalf("%s: guard set rejected: %s", p.Name, rep.Guards.Reason)
 		}
 
-		base := pipeline.DefaultConfig()
-		base.ElideChecks = true
-		base.ElisionDigest = rep.Digest
-		base.ElisionCtxK = rep.CtxK
-
-		off, _, err := runWithGuards(ctx, p, base, &o, rep)
+		// Both runs install the verified elision map; only the guard map
+		// differs.
+		off, _, err := o.runProfile(ctx, p, pipeline.DefaultConfig(), rep, false)
 		if err != nil {
 			t.Fatalf("%s: guards-off run: %v", p.Name, err)
 		}
-
-		on := base
-		on.HoistGuards = true
-		on.GuardDigest = rep.Guards.Digest
-		onRes, gs, err := runWithGuards(ctx, p, on, &o, rep)
+		onRes, sim, err := o.runProfile(ctx, p, pipeline.DefaultConfig(), rep, true)
 		if err != nil {
 			t.Fatalf("%s: guards-on run: %v", p.Name, err)
 		}
+		gs := sim.GuardStats()
 
 		offViol, _ := json.Marshal(off.Violations)
 		onViol, _ := json.Marshal(onRes.Violations)

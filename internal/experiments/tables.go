@@ -32,7 +32,7 @@ func RunFig3(o Options) ([]Fig3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := memprof.Profile(prog, harts(p), 50_000, o.MaxInsts)
+		st, err := memprof.Profile(prog, p.Harts(), 50_000, o.MaxInsts)
 		if err != nil {
 			return nil, err
 		}
@@ -81,7 +81,7 @@ func RunTable1(o Options) ([]Table1Result, error) {
 		cfg.EnableChecker = true
 		cfg.MaxInsts = o.MaxInsts
 		cfg.MaxCycles = o.MaxCycles
-		sim, err := pipeline.NewSim(prog, cfg, harts(p))
+		sim, err := pipeline.NewSim(prog, cfg, p.Harts())
 		if err != nil {
 			return nil, err
 		}

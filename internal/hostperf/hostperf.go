@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 
 	"chex86/internal/decode"
 	"chex86/internal/pipeline"
@@ -29,30 +30,6 @@ import (
 // Clock returns monotonic nanoseconds. cmd/ binaries bind it to the wall
 // clock; tests bind a counter.
 type Clock func() int64
-
-// VariantName returns the short canonical variant name used in baseline
-// keys and report columns — the same spelling faultinject.VariantByName
-// accepts and campaign specs use (Variant.String() is the long display
-// form, too wide for tables and too fragile for JSON keys).
-func VariantName(v decode.Variant) string {
-	switch v {
-	case decode.VariantInsecure:
-		return "baseline"
-	case decode.VariantHardwareOnly:
-		return "hardware"
-	case decode.VariantBinaryTranslation:
-		return "bintrans"
-	case decode.VariantMicrocodeAlwaysOn:
-		return "always-on"
-	case decode.VariantMicrocodePrediction:
-		return "prediction"
-	case decode.VariantASan:
-		return "asan"
-	case decode.VariantWatchdog:
-		return "watchdog"
-	}
-	return v.String()
-}
 
 // Sample is one (workload, variant) throughput measurement.
 type Sample struct {
@@ -111,12 +88,7 @@ func Measure(clock Clock, p *workload.Profile, v decode.Variant, opts MeasureOpt
 	}
 	cfg := pipeline.DefaultConfig()
 	cfg.Variant = v
-	cfg.WarmupInsts = p.SetupInsts()
-	cfg.MaxInsts = opts.MaxInsts + cfg.WarmupInsts
-	harts := 1
-	if p.Threads > 0 {
-		harts = p.Threads
-	}
+	cfg, harts := pipeline.ForProfile(cfg, p, opts.MaxInsts, 0)
 	sim, err := pipeline.NewSim(prog, cfg, harts)
 	if err != nil {
 		return Sample{}, fmt.Errorf("%s/%v: %w", p.Name, v, err)
@@ -133,12 +105,52 @@ func Measure(clock Clock, p *workload.Profile, v decode.Variant, opts MeasureOpt
 	}
 	return Sample{
 		Workload: p.Name,
-		Variant:  VariantName(v),
+		Variant:  v.ShortName(),
 		Insts:    res.MacroInsts,
 		WallNS:   wall,
 		Allocs:   msAfter.Mallocs - msBefore.Mallocs,
 		HitRate:  sim.UopCacheStats().HitRate(),
 	}, nil
+}
+
+// MeasureAll calibrates the host, then measures every (workload, variant)
+// pair of the comma-separated benches and variants lists, keeping the
+// fastest of runs samples per pair. An empty benches list measures the
+// whole catalog.
+func MeasureAll(clock Clock, benches, variants string, opts MeasureOpts, runs int) (*Report, error) {
+	names := workload.Names()
+	if benches != "" {
+		names = strings.Split(benches, ",")
+	}
+	var vs []decode.Variant
+	for _, name := range strings.Split(variants, ",") {
+		v, ok := decode.ParseVariant(strings.TrimSpace(name))
+		if !ok {
+			return nil, fmt.Errorf("unknown variant %q", name)
+		}
+		vs = append(vs, v)
+	}
+	rep := &Report{HostScore: Calibrate(clock)}
+	for _, name := range names {
+		p := workload.ByName(strings.TrimSpace(name))
+		if p == nil {
+			return nil, fmt.Errorf("unknown workload %q", name)
+		}
+		for _, v := range vs {
+			var best Sample
+			for r := 0; r < max(1, runs); r++ {
+				s, err := Measure(clock, p, v, opts)
+				if err != nil {
+					return nil, err
+				}
+				if r == 0 || s.WallNS < best.WallNS {
+					best = s
+				}
+			}
+			rep.Samples = append(rep.Samples, best)
+		}
+	}
+	return rep, nil
 }
 
 // calibrateIters sizes the calibration kernel: large enough to average

@@ -275,32 +275,21 @@ func runConditionProg(prog *asm.Program, cond Condition, opt RunOptions) *CondRe
 	cfg.Variant = cond.Variant
 	cfg.MaxInsts = opt.MaxInsts
 	cfg.NoUopCache = cond.NoUopCache
-	var erep *elide.Report
+	var rep *elide.Report
 	if cond.Elide {
-		rep, err := elide.ForProgram(prog, elide.Options{Harts: 1})
-		if err != nil {
+		var err error
+		if rep, err = elide.ForProgram(prog, elide.Options{Harts: 1}); err != nil {
 			res.Err = fmt.Sprintf("elide: %v", err)
 			return res
 		}
-		erep = rep
-		cfg.ElideChecks = true
-		cfg.ElisionDigest = rep.Digest
-		if cond.Hoist {
-			cfg.HoistGuards = true
-			cfg.GuardDigest = rep.Guards.Digest
-		}
 	}
-	sim, err := pipeline.NewSim(prog, cfg, 1)
+	sim, err := elide.NewSim(prog, cfg, 1, rep, cond.Hoist)
 	if err != nil {
 		res.Err = fmt.Sprintf("sim: %v", err)
 		return res
 	}
-	if erep != nil {
-		sim.SetElisionMap(erep.Map)
-		res.Elided = erep.Stats.Elided
-		if cond.Hoist {
-			sim.SetGuardMap(erep.Guards.Map)
-		}
+	if rep != nil {
+		res.Elided = rep.Stats.Elided
 	}
 	ref := emu.New(prog, emu.Options{Harts: 1, MaxInsts: opt.MaxInsts})
 

@@ -89,14 +89,16 @@ type Config struct {
 	// k ≤ 2 are consulted correctly.
 	ElisionCtxK int
 
-	// HoistGuards enables hoisted-block-guard accounting on top of check
-	// elision: one fused guard executes at each verified dominator anchor
-	// (folded into the anchor block's leader at zero timing cost, see
-	// DESIGN.md §16) and the dominated capability checks it covers are
-	// attributed to it in Sim.GuardStats. The checker only admits covered
-	// sites that are in the verified elision map, so the set of suppressed
-	// checks — and therefore Result — is identical with the knob on or
-	// off. Requires ElideChecks; inert without a map installed through
+	// HoistGuards enables hoisted block guards on top of check elision:
+	// each committed verified dominator anchor issues one timed
+	// UGuardCheck μop, the fused interval check for the dominated
+	// capability checks it covers, and those checks are attributed to it
+	// in Sim.GuardStats (DESIGN.md §16/§17). The checker only admits
+	// covered sites that are in the verified elision map and the guard
+	// μop is functionally inert, so the executed check set and the
+	// violation reports are identical with the knob on or off; cycles and
+	// InjectedUops are not, since the guard μops are extra injected
+	// stream. Requires ElideChecks; inert without a map installed through
 	// Sim.SetGuardMap.
 	HoistGuards bool
 

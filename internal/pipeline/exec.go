@@ -134,19 +134,12 @@ func (s *Sim) processRec(c *coreCtx, rec *emu.Rec) *core.Violation {
 		plans = s.instrumentWatchdog(c, rec, native, plans)
 
 	case cfg.Variant == decode.VariantASan:
-		// ASanInstrument derives shadow addresses from the access EAs, so
-		// the ASan path materializes the effective addresses on a scratch
-		// copy of the (immutable) expansion first.
-		buf := append(c.uopBuf[:0], native...)
-		c.uopBuf = buf[:0]
-		for i := range buf {
-			if buf[i].Type.IsMem() {
-				buf[i].EA = rec.EA
-			}
-		}
-		instrumented := c.dec.ASanInstrument(buf)
-		for i := range instrumented {
-			plans = append(plans, uopPlan{u: instrumented[i]})
+		// ASanInstrument writes the instrumented copy of the (immutable)
+		// expansion, effective addresses materialized, into the per-core
+		// scratch buffer.
+		c.asanBuf = c.dec.ASanInstrument(c.asanBuf[:0], native, rec.EA)
+		for i := range c.asanBuf {
+			plans = append(plans, uopPlan{u: c.asanBuf[i]})
 		}
 		if rec.HasEA {
 			c.record(in.Addr, s.checkASan(rec))

@@ -208,6 +208,7 @@ type coreCtx struct {
 
 	done    bool
 	uopBuf  []isa.Uop
+	asanBuf []isa.Uop // scratch for the ASan variant's instrumented expansion
 	planBuf []uopPlan
 	walkBuf []uint64 // scratch for AliasTable.WalkInto touch lists
 	recsRun uint64

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"chex86/internal/core"
 	"chex86/internal/decode"
-	"chex86/internal/elide"
 	"chex86/internal/pipeline"
 )
 
@@ -54,51 +52,13 @@ func outcomeReport(o *Outcome) string {
 	}
 }
 
-// runElided mirrors Run with the verified elision map installed.
-func runElided(e *Exploit, variant decode.Variant) (*Outcome, int) {
-	out := &Outcome{Exploit: e}
-	prog, err := e.Build()
-	if err != nil {
-		out.Err = err
-		return out, 0
-	}
-	rep, err := elide.ForProgram(prog, elide.Options{Harts: 1})
-	if err != nil {
-		out.Err = err
-		return out, 0
-	}
-	cfg := pipeline.DefaultConfig()
-	cfg.Variant = variant
-	cfg.StopOnViolation = true
-	cfg.MaxInsts = 2_000_000
-	cfg.ElideChecks = true
-	cfg.ElisionDigest = rep.Digest
-	sim, err := pipeline.NewSim(prog, cfg, 1)
-	if err != nil {
-		out.Err = err
-		return out, rep.Stats.Elided
-	}
-	sim.SetElisionMap(rep.Map)
-	_, rerr := sim.Run()
-	if v, ok := rerr.(*core.Violation); ok {
-		out.Detected = true
-		out.Violation = v
-	} else if rerr != nil {
-		out.Err = rerr
-	} else if len(sim.Violations) > 0 {
-		out.Detected = true
-		out.Violation = sim.Violations[0]
-	}
-	return out, rep.Stats.Elided
-}
-
 // RunElideDiff replays every security case (all three exploit suites and
 // the false-positive probes) with elision off and on, comparing reports.
 func RunElideDiff() *ElideDiffReport {
 	rep := &ElideDiffReport{}
 	for _, e := range All() {
 		off := Run(e, decode.VariantMicrocodePrediction)
-		on, elided := runElided(e, decode.VariantMicrocodePrediction)
+		on, elided := run(e, pipeline.DefaultConfig(), true)
 		c := ElideDiffCase{
 			Name:   e.Name,
 			Suite:  e.Suite,

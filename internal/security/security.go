@@ -12,6 +12,7 @@ import (
 	"chex86/internal/asm"
 	"chex86/internal/core"
 	"chex86/internal/decode"
+	"chex86/internal/elide"
 	"chex86/internal/pipeline"
 )
 
@@ -73,20 +74,38 @@ func (o *Outcome) String() string {
 // Run executes the exploit on the given protection variant and reports the
 // outcome.
 func Run(e *Exploit, variant decode.Variant) *Outcome {
+	cfg := pipeline.DefaultConfig()
+	cfg.Variant = variant
+	out, _ := run(e, cfg, false)
+	return out
+}
+
+// run executes the exploit under cfg in security-evaluation mode (stop at
+// the first violation, 2M macro-op budget). With elision set it first
+// verifies the program's elision report and installs it; the second
+// result is the number of proofs the checker verified.
+func run(e *Exploit, cfg pipeline.Config, elision bool) (*Outcome, int) {
 	out := &Outcome{Exploit: e}
 	prog, err := e.Build()
 	if err != nil {
 		out.Err = err
-		return out
+		return out, 0
 	}
-	cfg := pipeline.DefaultConfig()
-	cfg.Variant = variant
+	var rep *elide.Report
+	elided := 0
+	if elision {
+		if rep, err = elide.ForProgram(prog, elide.Options{Harts: 1}); err != nil {
+			out.Err = err
+			return out, 0
+		}
+		elided = rep.Stats.Elided
+	}
 	cfg.StopOnViolation = true
 	cfg.MaxInsts = 2_000_000
-	sim, err := pipeline.NewSim(prog, cfg, 1)
+	sim, err := elide.NewSim(prog, cfg, 1, rep, false)
 	if err != nil {
 		out.Err = err
-		return out
+		return out, elided
 	}
 	_, rerr := sim.Run()
 	if v, ok := rerr.(*core.Violation); ok {
@@ -98,7 +117,7 @@ func Run(e *Exploit, variant decode.Variant) *Outcome {
 		out.Detected = true
 		out.Violation = sim.Violations[0]
 	}
-	return out
+	return out, elided
 }
 
 // All returns every exploit across the three suites plus the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"chex86/internal/core"
 	"chex86/internal/decode"
 	"chex86/internal/pipeline"
 )
@@ -36,45 +35,16 @@ type UopCacheDiffReport struct {
 // Identical reports whether every case matched byte-for-byte.
 func (r *UopCacheDiffReport) Identical() bool { return r.Mismatches == 0 }
 
-// runNoUopCache mirrors Run with the μop translation cache disabled.
-func runNoUopCache(e *Exploit, variant decode.Variant) *Outcome {
-	out := &Outcome{Exploit: e}
-	prog, err := e.Build()
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	cfg := pipeline.DefaultConfig()
-	cfg.Variant = variant
-	cfg.StopOnViolation = true
-	cfg.MaxInsts = 2_000_000
-	cfg.NoUopCache = true
-	sim, err := pipeline.NewSim(prog, cfg, 1)
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	_, rerr := sim.Run()
-	if v, ok := rerr.(*core.Violation); ok {
-		out.Detected = true
-		out.Violation = v
-	} else if rerr != nil {
-		out.Err = rerr
-	} else if len(sim.Violations) > 0 {
-		out.Detected = true
-		out.Violation = sim.Violations[0]
-	}
-	return out
-}
-
 // RunUopCacheDiff replays every security case (all three exploit suites
 // and the false-positive probes) with the μop translation cache on and
 // off, comparing violation reports.
 func RunUopCacheDiff() *UopCacheDiffReport {
 	rep := &UopCacheDiffReport{}
+	noCache := pipeline.DefaultConfig()
+	noCache.NoUopCache = true
 	for _, e := range All() {
 		on := Run(e, decode.VariantMicrocodePrediction)
-		off := runNoUopCache(e, decode.VariantMicrocodePrediction)
+		off, _ := run(e, noCache, false)
 		c := UopCacheDiffCase{
 			Name:  e.Name,
 			Suite: e.Suite,

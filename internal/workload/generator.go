@@ -80,6 +80,9 @@ func (p *Profile) SetupInsts() uint64 {
 	return uint64(p.MaxLive)*perBuffer*5/4 + 64
 }
 
+// Harts returns the number of hardware threads the profile runs on.
+func (p *Profile) Harts() int { return max(1, p.Threads) }
+
 // TotalAllocs returns the total allocations the profile performs.
 func (p *Profile) TotalAllocs() int {
 	return p.MaxLive + p.Rounds*p.ChurnPerRound
@@ -214,10 +217,7 @@ func (p *Profile) Build(scale float64) (*asm.Program, error) {
 			prof.Rounds = 1
 		}
 	}
-	threads := prof.Threads
-	if threads <= 0 {
-		threads = 1
-	}
+	threads := prof.Harts()
 
 	g := &gen{
 		b:      asm.NewBuilder(),

@@ -1,4 +1,4 @@
-package workload
+package workload_test
 
 import (
 	"testing"
@@ -7,20 +7,17 @@ import (
 	"chex86/internal/decode"
 	"chex86/internal/emu"
 	"chex86/internal/pipeline"
+	"chex86/internal/workload"
 )
 
 const emuAllocEnter = emu.EvAllocEnter
 
-func emuMachine(prog *asm.Program, p *Profile) *emu.Machine {
-	harts := p.Threads
-	if harts == 0 {
-		harts = 1
-	}
-	return emu.New(prog, emu.Options{Harts: harts, MaxInsts: 3_000_000})
+func emuMachine(prog *asm.Program, p *workload.Profile) *emu.Machine {
+	return emu.New(prog, emu.Options{Harts: p.Harts(), MaxInsts: 3_000_000})
 }
 
 func TestCatalogBuilds(t *testing.T) {
-	for _, p := range Catalog() {
+	for _, p := range workload.Catalog() {
 		if _, err := p.Build(0.2); err != nil {
 			t.Errorf("%s: build failed: %v", p.Name, err)
 		}
@@ -32,7 +29,7 @@ func TestCatalogBuilds(t *testing.T) {
 // enabled: no violations (the workloads are well-behaved) and a high
 // checker agreement rate (the Table I rules track the pointers).
 func TestWorkloadsRunCleanWithChecker(t *testing.T) {
-	for _, p := range Catalog() {
+	for _, p := range workload.Catalog() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			prog := p.MustBuild(0.15)
@@ -40,11 +37,7 @@ func TestWorkloadsRunCleanWithChecker(t *testing.T) {
 			cfg.Variant = decode.VariantMicrocodePrediction
 			cfg.EnableChecker = true
 			cfg.MaxInsts = 120_000
-			harts := p.Threads
-			if harts == 0 {
-				harts = 1
-			}
-			sim := pipeline.New(prog, cfg, harts)
+			sim := pipeline.New(prog, cfg, p.Harts())
 			res, err := sim.Run()
 			if err != nil {
 				t.Fatalf("run: %v", err)
@@ -74,7 +67,7 @@ func firstMismatch(res *pipeline.Result) any {
 // TestBuildDeterminism: the generator must be reproducible — identical
 // programs for identical profiles.
 func TestBuildDeterminism(t *testing.T) {
-	p := ByName("gcc")
+	p := workload.ByName("gcc")
 	a := p.MustBuild(0.2)
 	b := p.MustBuild(0.2)
 	if len(a.Insts) != len(b.Insts) {
@@ -92,7 +85,7 @@ func TestBuildDeterminism(t *testing.T) {
 
 // TestScaleDoesNotMutateCatalog guards the copy-on-build semantics.
 func TestScaleDoesNotMutateCatalog(t *testing.T) {
-	p := ByName("perlbench")
+	p := workload.ByName("perlbench")
 	rounds := p.Rounds
 	p.MustBuild(0.1)
 	if p.Rounds != rounds {
@@ -104,7 +97,7 @@ func TestScaleDoesNotMutateCatalog(t *testing.T) {
 // phase (first EvAllocExit of the main rounds comes after all initial
 // allocations) without swallowing the whole run.
 func TestSetupInstsEstimate(t *testing.T) {
-	for _, p := range Catalog() {
+	for _, p := range workload.Catalog() {
 		est := p.SetupInsts()
 		if est == 0 {
 			t.Errorf("%s: zero setup estimate", p.Name)
@@ -143,7 +136,7 @@ func TestSetupInstsEstimate(t *testing.T) {
 // TestProfileShapeInvariants pins catalog-wide invariants the figures
 // depend on.
 func TestProfileShapeInvariants(t *testing.T) {
-	for _, p := range Catalog() {
+	for _, p := range workload.Catalog() {
 		if p.TotalAllocs() < p.MaxLive {
 			t.Errorf("%s: total allocations below the live set", p.Name)
 		}
@@ -157,7 +150,7 @@ func TestProfileShapeInvariants(t *testing.T) {
 			t.Errorf("%s: no visit schedule", p.Name)
 		}
 	}
-	names := Names()
+	names := workload.Names()
 	if names[0] != "perlbench" || names[len(names)-1] != "canneal" {
 		t.Error("catalog must preserve the paper's Figure 6 order")
 	}
