@@ -49,7 +49,10 @@ type loopEntry struct {
 }
 
 // Predictor is the LTAGE-class direction predictor: a bimodal base, four
-// geometric-history tagged tables, and a loop predictor.
+// geometric-history tagged tables, and a loop predictor. Each table is
+// allocated on its first write: until then every read sees the zero
+// entry, which is exactly a fresh table's content, so a short run pays
+// only for the tables its branches train.
 type Predictor struct {
 	// base holds the bimodal 2-bit counters XOR 1, so the zero value of
 	// a fresh table reads as weakly not-taken without an init pass.
@@ -60,22 +63,26 @@ type Predictor struct {
 	Stats  Stats
 }
 
-// NewPredictor returns an initialized predictor.
-func NewPredictor() *Predictor {
-	p := &Predictor{base: make([]uint8, 1<<baseBits), loops: make([]loopEntry, 512)}
-	for t := 0; t < numTagged; t++ {
-		p.tables[t] = make([]taggedEntry, 1<<taggedBits)
-	}
-	return p
-}
+const (
+	baseEntries = 1 << baseBits
+	tagEntries  = 1 << taggedBits
+	loopEntries = 512
+)
+
+// NewPredictor returns an empty predictor; its tables are built on first
+// write.
+func NewPredictor() *Predictor { return &Predictor{} }
 
 func (p *Predictor) loopIndex(pc uint64) (int, uint32) {
 	h := pc >> 2
-	return int(h % uint64(len(p.loops))), uint32(h & 0x3FFFFF)
+	return int(h % loopEntries), uint32(h & 0x3FFFFF)
 }
 
 // loopPredict returns (prediction, usable) from the loop predictor.
 func (p *Predictor) loopPredict(pc uint64) (bool, bool) {
+	if p.loops == nil {
+		return false, false
+	}
 	i, tag := p.loopIndex(pc)
 	e := &p.loops[i]
 	if !e.valid || e.tag != tag || e.conf < 2 || e.trip == 0 {
@@ -86,6 +93,9 @@ func (p *Predictor) loopPredict(pc uint64) (bool, bool) {
 }
 
 func (p *Predictor) loopTrain(pc uint64, taken bool) {
+	if p.loops == nil {
+		p.loops = make([]loopEntry, loopEntries)
+	}
 	i, tag := p.loopIndex(pc)
 	e := &p.loops[i]
 	if !e.valid || e.tag != tag {
@@ -136,11 +146,17 @@ func (p *Predictor) PredictDir(pc uint64) bool {
 		return pred
 	}
 	for t := numTagged - 1; t >= 0; t-- {
+		if p.tables[t] == nil {
+			continue
+		}
 		idx, tag := p.indexTag(pc, t)
 		e := &p.tables[t][idx]
 		if e.tag == tag && e.useful > 0 {
 			return e.ctr >= 0
 		}
+	}
+	if p.base == nil {
+		return false // weakly not-taken
 	}
 	return p.base[(pc>>2)&(1<<baseBits-1)]^1 >= 2
 }
@@ -152,6 +168,9 @@ func (p *Predictor) UpdateDir(pc uint64, taken bool) {
 	// Update the providing tagged entry or the bimodal table.
 	provided := false
 	for t := numTagged - 1; t >= 0; t-- {
+		if p.tables[t] == nil {
+			continue
+		}
 		idx, tag := p.indexTag(pc, t)
 		e := &p.tables[t][idx]
 		if e.tag == tag && e.useful > 0 {
@@ -167,6 +186,9 @@ func (p *Predictor) UpdateDir(pc uint64, taken bool) {
 			break
 		}
 	}
+	if p.base == nil {
+		p.base = make([]uint8, baseEntries)
+	}
 	bi := (pc >> 2) & (1<<baseBits - 1)
 	ctr := p.base[bi] ^ 1
 	if taken && ctr < 3 {
@@ -178,6 +200,9 @@ func (p *Predictor) UpdateDir(pc uint64, taken bool) {
 	// On a misprediction, allocate into a longer-history table.
 	if predicted != taken && !provided {
 		for t := 0; t < numTagged; t++ {
+			if p.tables[t] == nil {
+				p.tables[t] = make([]taggedEntry, tagEntries)
+			}
 			idx, tag := p.indexTag(pc, t)
 			e := &p.tables[t][idx]
 			if e.useful == 0 {

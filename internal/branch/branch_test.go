@@ -166,3 +166,45 @@ func TestUnitPredictResolve(t *testing.T) {
 		t.Fatal("stats must count the mispredict")
 	}
 }
+
+// TestPredictorBuiltOnFirstWrite pins the direction predictor's
+// construction cost: a new predictor holds no table, unconditional
+// branches and lookups build none, and the first conditional update
+// builds the bimodal and loop tables but no tagged table until a
+// misprediction allocates into one.
+func TestPredictorBuiltOnFirstWrite(t *testing.T) {
+	u := NewUnit()
+	p := u.Dir
+	tagged := func() int {
+		n := 0
+		for _, tb := range p.tables {
+			if tb != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if p.base != nil || p.loops != nil || tagged() != 0 {
+		t.Fatal("a new predictor already holds tables")
+	}
+	for i := uint64(0); i < 16; i++ {
+		pc := 0x400000 + 4*i
+		taken, target := u.Predict(KindDirect, pc, pc+4)
+		u.Resolve(KindDirect, pc, pc+4, taken, target, true, 0x500000)
+		u.Dir.PredictDir(pc)
+	}
+	if p.base != nil || p.loops != nil || tagged() != 0 {
+		t.Fatal("unconditional branches and lookups built a direction table")
+	}
+	// A first not-taken outcome agrees with the weakly-not-taken reset
+	// state: no misprediction, so no tagged entry is allocated.
+	p.UpdateDir(0x400100, false)
+	if p.base == nil || p.loops == nil || tagged() != 0 {
+		t.Fatalf("after one correctly predicted update: base %v, loops %v, %d tagged tables",
+			p.base != nil, p.loops != nil, tagged())
+	}
+	p.UpdateDir(0x400100, true)
+	if tagged() != 1 {
+		t.Fatalf("after one misprediction: %d tagged tables, want 1", tagged())
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"chex86/internal/faultinject"
 	"chex86/internal/lockstep"
@@ -54,7 +53,7 @@ func (s *Spec) Key() (string, error) {
 		section("workload", pb)
 	}
 
-	section("rules", ruleBytes())
+	section("rules", tracker.BuiltinExportJSON())
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
@@ -118,14 +117,3 @@ func (s *Spec) programBytes() ([][]byte, error) {
 	}
 	return nil, fmt.Errorf("campaign: unknown mode %q", s.Mode)
 }
-
-// ruleBytes returns the byte-stable rule-database export, computed once:
-// the database is a process-wide constant (NewRuleDB always returns the
-// built-in Table-I rules).
-var ruleBytes = sync.OnceValue(func() []byte {
-	data, err := json.Marshal(tracker.NewRuleDB().Export())
-	if err != nil {
-		panic(fmt.Sprintf("campaign: rule export marshal: %v", err))
-	}
-	return data
-})

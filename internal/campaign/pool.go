@@ -517,14 +517,17 @@ func (p *Pool) finish(j *Job, res *Result, err error) {
 		j.state = JobDone
 		p.metrics.Completed.Add(1)
 	}
-	close(j.done)
-	j.mu.Unlock()
-
+	// Leave the in-flight table before waking waiters: a waiter that
+	// resubmits the spec at once must reach the cache, not be deduped onto
+	// this finished job. (Lock order is j.mu, then p.mu; nothing takes
+	// them the other way round.)
 	p.mu.Lock()
 	if p.inflight[j.Key] == j {
 		delete(p.inflight, j.Key)
 	}
 	p.mu.Unlock()
+	close(j.done)
+	j.mu.Unlock()
 }
 
 // Transient reports whether an error is worth retrying: wall-clock

@@ -261,10 +261,6 @@ func digest(rep *Report) string {
 		panic(fmt.Sprintf("elide: decisions marshal: %v", err))
 	}
 	h.Write(dec)
-	rules, err := json.Marshal(tracker.NewRuleDB().Export())
-	if err != nil {
-		panic(fmt.Sprintf("elide: rule export marshal: %v", err))
-	}
-	h.Write(rules)
+	h.Write(tracker.BuiltinExportJSON())
 	return hex.EncodeToString(h.Sum(nil))
 }

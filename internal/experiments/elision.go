@@ -79,13 +79,14 @@ func RunElision(o Options) ([]ElisionRow, error) {
 			}
 		}
 
-		base, err := run(p, pipeline.DefaultConfig(), &o)
+		ctx := context.Background()
+		base, _, err := o.runProfile(ctx, p, prog, pipeline.DefaultConfig(), nil, false)
 		if err != nil {
 			return nil, fmt.Errorf("elision %s (baseline): %w", p.Name, err)
 		}
 		row.BaseCycles = base.Cycles
 
-		res, _, err := o.runProfile(context.Background(), p, pipeline.DefaultConfig(), rep, false)
+		res, _, err := o.runProfile(ctx, p, prog, pipeline.DefaultConfig(), rep, false)
 		if err != nil {
 			return nil, fmt.Errorf("elision %s (elide): %w", p.Name, err)
 		}

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"time"
 
+	"chex86/internal/asm"
 	"chex86/internal/core"
 	"chex86/internal/decode"
 	"chex86/internal/elide"
@@ -84,19 +85,22 @@ func run(p *workload.Profile, cfg pipeline.Config, o *Options) (*pipeline.Result
 // figure runners above and the campaign subsystem's bench jobs; ctx cancels
 // the run (campaign workers thread their pool context through here).
 func RunOne(ctx context.Context, p *workload.Profile, cfg pipeline.Config, o *Options) (*pipeline.Result, error) {
-	res, _, err := o.runProfile(ctx, p, cfg, nil, false)
+	res, _, err := o.runProfile(ctx, p, nil, cfg, nil, false)
 	return res, err
 }
 
-// runProfile builds benchmark p at the harness scale and runs it under the
-// measurement policy (pipeline.ForProfile), with rep's verified maps
-// installed when rep is non-nil (elide.NewSim). The finished Sim is
-// returned for callers that read its counters.
-func (o *Options) runProfile(ctx context.Context, p *workload.Profile, cfg pipeline.Config,
+// runProfile runs benchmark p under the measurement policy
+// (pipeline.ForProfile), with rep's verified maps installed when rep is
+// non-nil (elide.NewSim). prog is p built at the harness scale; nil
+// builds it here. The finished Sim is returned for callers that read its
+// counters.
+func (o *Options) runProfile(ctx context.Context, p *workload.Profile, prog *asm.Program, cfg pipeline.Config,
 	rep *elide.Report, guards bool) (*pipeline.Result, *pipeline.Sim, error) {
-	prog, err := p.Build(o.Scale)
-	if err != nil {
-		return nil, nil, err
+	if prog == nil {
+		var err error
+		if prog, err = p.Build(o.Scale); err != nil {
+			return nil, nil, err
+		}
 	}
 	cfg, harts := pipeline.ForProfile(cfg, p, o.MaxInsts, o.MaxCycles)
 	sim, err := elide.NewSim(prog, cfg, harts, rep, guards)
@@ -495,10 +499,8 @@ func RunTable2(o Options) ([]Table2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := pipeline.DefaultConfig()
-		cfg.MaxInsts = o.MaxInsts
-		cfg.MaxCycles = o.MaxCycles
-		sim, err := pipeline.NewSim(prog, cfg, p.Harts())
+		cfg, harts := pipeline.ForProfile(pipeline.DefaultConfig(), p, o.MaxInsts, o.MaxCycles)
+		sim, err := pipeline.NewSim(prog, cfg, harts)
 		if err != nil {
 			return nil, err
 		}

@@ -170,6 +170,26 @@ func TestTable2Patterns(t *testing.T) {
 	}
 }
 
+// TestTable2SeesPastSetup pins Table II to the warm-up policy every
+// other figure follows: -insts counts from the end of the benchmark's
+// setup phase, so a budget smaller than mcf's 139,264-macro-op setup
+// still reaches the reload loop. Counted from instruction 0, this run
+// ends inside setup and classifies no reload PC.
+func TestTable2SeesPastSetup(t *testing.T) {
+	o := Options{Scale: 0.25, MaxInsts: 50_000, Benches: []string{"mcf"}}
+	results, err := RunTable2(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcs := 0
+	for _, n := range results[0].Summary {
+		pcs += n
+	}
+	if pcs == 0 {
+		t.Fatalf("mcf at scale 0.25 with a 50k budget classified no reload PC:\n%s", FormatTable2(results))
+	}
+}
+
 func TestTable4(t *testing.T) {
 	o := quickOpts()
 	o.Benches = []string{"perlbench", "lbm"}

@@ -65,7 +65,7 @@ func RunHoist(o Options) ([]HoistRow, error) {
 		}
 		row.Covered = rep.Guards.Stats.Covered
 
-		res, sim, err := o.runProfile(ctx, p, pipeline.DefaultConfig(), rep, true)
+		res, sim, err := o.runProfile(ctx, p, prog, pipeline.DefaultConfig(), rep, true)
 		if err != nil {
 			return nil, fmt.Errorf("hoist %s (run): %w", p.Name, err)
 		}

@@ -44,11 +44,11 @@ func TestGuardDiff(t *testing.T) {
 
 		// Both runs install the verified elision map; only the guard map
 		// differs.
-		off, _, err := o.runProfile(ctx, p, pipeline.DefaultConfig(), rep, false)
+		off, _, err := o.runProfile(ctx, p, prog, pipeline.DefaultConfig(), rep, false)
 		if err != nil {
 			t.Fatalf("%s: guards-off run: %v", p.Name, err)
 		}
-		onRes, sim, err := o.runProfile(ctx, p, pipeline.DefaultConfig(), rep, true)
+		onRes, sim, err := o.runProfile(ctx, p, prog, pipeline.DefaultConfig(), rep, true)
 		if err != nil {
 			t.Fatalf("%s: guards-on run: %v", p.Name, err)
 		}

@@ -73,19 +73,9 @@ type Table1Result struct {
 func RunTable1(o Options) ([]Table1Result, error) {
 	var out []Table1Result
 	for _, p := range o.profiles() {
-		prog, err := p.Build(o.Scale)
-		if err != nil {
-			return nil, err
-		}
 		cfg := pipeline.DefaultConfig()
 		cfg.EnableChecker = true
-		cfg.MaxInsts = o.MaxInsts
-		cfg.MaxCycles = o.MaxCycles
-		sim, err := pipeline.NewSim(prog, cfg, p.Harts())
-		if err != nil {
-			return nil, err
-		}
-		res, err := o.runSim(context.Background(), sim)
+		res, _, err := o.runProfile(context.Background(), p, nil, cfg, nil, false)
 		if err != nil {
 			return nil, err
 		}

@@ -266,8 +266,9 @@ func diffRec(p, r *emu.Rec) string {
 // runConditionProg executes a prebuilt program under one condition with
 // a reference emulator in lockstep, returning the condition result. A
 // divergence stops diffing (the first one is the report) but the run
-// completes so violation reports stay comparable.
-func runConditionProg(prog *asm.Program, cond Condition, opt RunOptions) *CondResult {
+// completes so violation reports stay comparable. rep and repErr are the
+// program's elision analysis, consulted only when the condition elides.
+func runConditionProg(prog *asm.Program, cond Condition, rep *elide.Report, repErr error, opt RunOptions) *CondResult {
 	opt = opt.withDefaults()
 	res := &CondResult{Cond: cond, Name: cond.Name()}
 
@@ -275,13 +276,11 @@ func runConditionProg(prog *asm.Program, cond Condition, opt RunOptions) *CondRe
 	cfg.Variant = cond.Variant
 	cfg.MaxInsts = opt.MaxInsts
 	cfg.NoUopCache = cond.NoUopCache
-	var rep *elide.Report
-	if cond.Elide {
-		var err error
-		if rep, err = elide.ForProgram(prog, elide.Options{Harts: 1}); err != nil {
-			res.Err = fmt.Sprintf("elide: %v", err)
-			return res
-		}
+	if !cond.Elide {
+		rep = nil
+	} else if repErr != nil {
+		res.Err = fmt.Sprintf("elide: %v", repErr)
+		return res
 	}
 	sim, err := elide.NewSim(prog, cfg, 1, rep, cond.Hoist)
 	if err != nil {
@@ -299,33 +298,38 @@ func runConditionProg(prog *asm.Program, cond Condition, opt RunOptions) *CondRe
 			res.Divergence = &Divergence{Cond: res.Name, Seq: seq, Detail: detail, Tail: tail.list()}
 		}
 	}
+	// view is Tamper's private copy of each commit, so the harness's
+	// mutation test never corrupts the pipeline's own record. It lives
+	// outside the closure: one copy per run, not one heap copy per commit.
+	var view emu.Rec
 	sim.TraceCommit = func(rec *emu.Rec) {
 		if res.Divergence != nil {
 			return
 		}
-		view := *rec
 		if opt.Tamper != nil {
+			view = *rec
 			opt.Tamper(&view)
+			rec = &view
 		}
 		refRec, refErr := ref.Step()
 		if refErr != nil {
-			diverge(view.Seq, fmt.Sprintf("reference faulted while pipeline committed %s: %v", fmtRec(&view), refErr))
+			diverge(rec.Seq, fmt.Sprintf("reference faulted while pipeline committed %s: %v", fmtRec(rec), refErr))
 			return
 		}
 		if refRec == nil {
-			diverge(view.Seq, "reference exhausted while pipeline committed "+fmtRec(&view))
+			diverge(rec.Seq, "reference exhausted while pipeline committed "+fmtRec(rec))
 			return
 		}
 		defer ref.Recycle(refRec)
-		if d := diffRec(&view, refRec); d != "" {
-			diverge(view.Seq, d)
+		if d := diffRec(rec, refRec); d != "" {
+			diverge(rec.Seq, d)
 			return
 		}
 		tail.push(refRec)
 		res.Commits++
 		if res.Commits%opt.Stride == 0 {
 			if ds := sim.M.Snapshot().Diff(ref.Snapshot()); len(ds) > 0 {
-				diverge(view.Seq, "snapshot: "+strings.Join(ds, "; "))
+				diverge(rec.Seq, "snapshot: "+strings.Join(ds, "; "))
 				return
 			}
 			res.Invariants = append(res.Invariants, auditInvariants(sim)...)
@@ -413,6 +417,10 @@ type ProgramResult struct {
 //   - a safe genome must be violation-free everywhere (no false
 //     positives), and a mutated genome's labeled class must be the first
 //     violation under every protected variant.
+//
+// The program is analysed at most once, and only when some condition
+// elides: every eliding condition shares the one read-only elision report
+// (or reports its one error).
 func RunGenome(g *progen.Genome, conds []Condition, opt RunOptions) *ProgramResult {
 	if len(conds) == 0 {
 		conds = DefaultConditions()
@@ -423,8 +431,16 @@ func RunGenome(g *progen.Genome, conds []Condition, opt RunOptions) *ProgramResu
 		pr.Failure = &Failure{Kind: "build", Detail: err.Error()}
 		return pr
 	}
+	var rep *elide.Report
+	var repErr error
 	for _, c := range conds {
-		rc := runConditionProg(prog, c, opt)
+		if c.Elide {
+			rep, repErr = elide.ForProgram(prog, elide.Options{Harts: 1})
+			break
+		}
+	}
+	for _, c := range conds {
+		rc := runConditionProg(prog, c, rep, repErr, opt)
 		pr.Conds = append(pr.Conds, rc)
 		pr.Commits += rc.Commits
 		pr.Elided += rc.Elided

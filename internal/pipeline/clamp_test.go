@@ -15,9 +15,11 @@ import (
 
 // TestBandwidthNeverClamps runs every catalog workload under the insecure
 // baseline, always-on and prediction variants until every core's issue
-// and commit windows have slid at least once, and asserts that no
-// bandwidth window ever had to move a reservation up to its base: a clamp
-// would silently grant a later cycle than the exact model.
+// window has slid at least once, and asserts that no bandwidth window
+// (issue or functional unit) ever had to move a reservation up to its
+// base: a clamp would silently grant a later cycle than the exact model.
+// Commit has no window to clamp: its in-order counter is exact by
+// construction (TestCommitCounterMatchesBandwidth).
 func TestBandwidthNeverClamps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload×variant sweep")
@@ -25,7 +27,7 @@ func TestBandwidthNeverClamps(t *testing.T) {
 	variants := []decode.Variant{decode.VariantInsecure, decode.VariantMicrocodeAlwaysOn, decode.VariantMicrocodePrediction}
 	slid := func(s *Sim) bool {
 		for _, c := range s.cores {
-			if c.issueBW.base == 0 || c.commitBW.base == 0 {
+			if c.issueBW.base == 0 {
 				return false
 			}
 		}
@@ -75,10 +77,10 @@ func TestBandwidthNeverClamps(t *testing.T) {
 				sim, ok = run(p, v, scale)
 			}
 			if !ok {
-				t.Fatalf("%s/%v: the run ended before every core's issue and commit windows slid", p.Name, v)
+				t.Fatalf("%s/%v: the run ended before every core's issue window slid", p.Name, v)
 			}
 			for _, c := range sim.cores {
-				windows := append([]*bandwidth{c.issueBW, c.commitBW}, c.fuBW[:]...)
+				windows := append([]*bandwidth{c.issueBW}, c.fuBW[:]...)
 				for i, b := range windows {
 					if b.clamps != 0 {
 						t.Errorf("%s/%v core %d window %d: %d reserves clamped to the window base",

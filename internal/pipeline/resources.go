@@ -4,11 +4,12 @@ import "math"
 
 // This file implements the scheduling resources of the one-pass
 // out-of-order timing model: per-cycle bandwidth counters (issue width,
-// commit width, functional-unit pools) and in-order occupancy rings (ROB,
-// IQ, LQ, SQ). The model processes the committed micro-op trace in a
-// single pass, computing for every micro-op its fetch, dispatch, issue,
-// completion, and commit cycles subject to these resource constraints —
-// the standard trace-driven instruction-window timing approach.
+// functional-unit pools), the in-order commit counter, and in-order
+// occupancy rings (ROB, IQ, LQ, SQ). The model processes the committed
+// micro-op trace in a single pass, computing for every micro-op its fetch,
+// dispatch, issue, completion, and commit cycles subject to these
+// resource constraints — the standard trace-driven instruction-window
+// timing approach.
 
 // bwWindow is the sliding-window size for bandwidth counters. It must
 // exceed the maximum spread between the oldest and newest in-flight cycle,
@@ -104,6 +105,32 @@ func (b *bandwidth) slide(shift uint64) {
 	}
 	b.base += shift
 	b.end = b.base + bwWindow
+}
+
+// commitCounter is the commit-width limit. Commit is in order: every
+// request is max(done+1, lastCommit), and lastCommit is the newest
+// granted cycle (AdvanceTo only ever raises it), so requests never
+// decrease and only the newest granted cycle can still have a free slot.
+// A counter of that cycle's grants is therefore the exact bandwidth
+// window, without one.
+type commitCounter struct {
+	width int
+	cycle uint64 // newest granted cycle
+	used  int    // grants at cycle
+}
+
+func newCommitCounter(width int) commitCounter { return commitCounter{width: width} }
+
+// reserve grants the first cycle at or after want with a free commit
+// slot; want must not precede the previous grant.
+func (c *commitCounter) reserve(want uint64) uint64 {
+	if want > c.cycle {
+		c.cycle, c.used = want, 0
+	} else if c.used == c.width {
+		c.cycle, c.used = c.cycle+1, 0
+	}
+	c.used++
+	return c.cycle
 }
 
 // occupancyRing models an in-order-allocated, capacity-limited structure

@@ -48,6 +48,43 @@ func TestBandwidthMatchesExactReference(t *testing.T) {
 	}
 }
 
+// TestCommitCounterMatchesBandwidth drives the in-order commit counter
+// and the bandwidth window it replaced with identical commit-shaped
+// request streams — want = max(done+1, last grant), with done jittering
+// behind and jumping ahead of the frontier, runs of same-cycle requests
+// past the width, and AdvanceTo-style jumps of last grant — and requires
+// every grant to agree.
+func TestCommitCounterMatchesBandwidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for width := 1; width <= 8; width++ {
+		cc := newCommitCounter(width)
+		bw := newBandwidth(width)
+		var last, frontier uint64
+		for i := 0; i < 200_000; i++ {
+			frontier += uint64(rng.Intn(3))
+			if rng.Intn(5000) == 0 {
+				frontier += uint64(rng.Intn(3 * bwWindow))
+			}
+			done := frontier - min(frontier, uint64(rng.Intn(64)))
+			if rng.Intn(3) == 0 {
+				done = last // a burst into the newest granted cycle
+			}
+			if rng.Intn(10_000) == 0 {
+				last += uint64(rng.Intn(1000)) // Sim.AdvanceTo raises lastCommit
+			}
+			want := max(done+1, last)
+			got, exp := cc.reserve(want), bw.reserve(want)
+			if got != exp {
+				t.Fatalf("width %d, request %d: reserve(%d) = %d, bandwidth window %d", width, i, want, got, exp)
+			}
+			last = got
+		}
+		if bw.clamps != 0 {
+			t.Fatalf("width %d: the reference window clamped %d requests", width, bw.clamps)
+		}
+	}
+}
+
 // heapWindow is the instruction-queue model issueWindow replaced, kept as
 // its reference: a 4-ary min-heap of the capacity largest issue times
 // with a hole-based sift, whose root is the dispatch bound once full.

@@ -148,7 +148,7 @@ type coreCtx struct {
 
 	// Back-end resources.
 	issueBW    *bandwidth
-	commitBW   *bandwidth
+	commitBW   commitCounter
 	fuBW       [isa.NumFUClasses]*bandwidth
 	rob        *occupancyRing
 	iq         *issueWindow
@@ -365,7 +365,7 @@ func (s *Sim) newCore(id int) *coreCtx {
 		aliasCache: tracker.NewAliasCache(cfg.AliasCacheEntries, cfg.AliasVictim),
 		tlb:        mem.NewTLB(cfg.TLBEntries, cfg.TLBWays, s.PT),
 		issueBW:    newBandwidth(cfg.IssueWidth),
-		commitBW:   newBandwidth(cfg.CommitWidth),
+		commitBW:   newCommitCounter(cfg.CommitWidth),
 		rob:        newOccupancyRing(cfg.ROBSize),
 		fetchRing:  newOccupancyRing(cfg.ROBSize + 64),
 		iq:         newIssueWindow(cfg.IQSize),

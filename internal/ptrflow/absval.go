@@ -215,14 +215,14 @@ func classifyPID(pid core.PID) Tag {
 // position so a rule's output can be attributed to the source it selected
 // (which is how Ptr regions flow through the sampled rule closures).
 var (
-	src1Reps = map[Tag][]core.PID{
+	src1Reps = [...][]core.PID{
 		TagBot:    {0},
 		TagNotPtr: {0},
 		TagPtr:    {5},
 		TagWild:   {core.WildPID},
 		TagTop:    {0, 5, core.WildPID},
 	}
-	src2Reps = map[Tag][]core.PID{
+	src2Reps = [...][]core.PID{
 		TagBot:    {0},
 		TagNotPtr: {0},
 		TagPtr:    {7},

@@ -48,8 +48,10 @@ type Site struct {
 	Addr     uint64
 	MacroIdx uint8
 	Store    bool
-	Inst     string // macro-op disassembly
-	Verdict  Verdict
+	// Inst is the macro-op; its disassembly is rendered only when a
+	// report is (Format, crosscheck), never during analysis.
+	Inst    *isa.Inst
+	Verdict Verdict
 	// Assumed marks verdicts that rest on the init-order assumption
 	// (a value read through a region summary before the analysis can
 	// prove the region's writes precede it, see DESIGN.md §9); such
@@ -137,10 +139,13 @@ type Analysis struct {
 
 	blockIn []*state // per-block entry fixpoint (narrowed), nil if unreached
 
-	// Context-sensitive pass results (context.go): per-(block, context)
-	// entry states plus their deterministic discovery order.
-	ctxIn    map[ctxKey]*state
+	// Context-sensitive pass results (context.go): the (block, context)
+	// nodes in their deterministic discovery order, and each node's entry
+	// state at the same index.
 	ctxOrder []ctxKey
+	ctxIn    []*state
+
+	edge state // edgeState's reused refined-edge state
 
 	onRegionChange func() // fixpoint-restart notification
 	collect        bool   // final pass: gather alloc-size/free facts
@@ -168,16 +173,29 @@ const unmappedRegion = "@unmapped"
 // heap chunk may already have been released on a path reaching the point
 // (free joins as logical OR — required for the temporal side of safety
 // proofs, see proof.go).
+//
+// The frame is a slice sorted by offset: frames hold a handful of slots,
+// so a sorted slice joins by merge and copies without allocating once a
+// reused state's backing array has grown. frameOK false means slot
+// addressing was destroyed (loads from the frame are top); the slice is
+// then empty.
 type state struct {
-	regs  [isa.NumRegs]Value
-	rsp   int64
-	rspOK bool
-	frame map[int64]Value
-	free  bool
+	regs    [isa.NumRegs]Value
+	rsp     int64
+	rspOK   bool
+	frameOK bool
+	frame   []slot
+	free    bool
+}
+
+// slot is one stack-frame slot's fact at an entry-relative RSP offset.
+type slot struct {
+	off int64
+	v   Value
 }
 
 func newEntryState() *state {
-	s := &state{rspOK: true, frame: map[int64]Value{}}
+	s := &state{rspOK: true, frameOK: true}
 	for i := range s.regs {
 		s.regs[i] = notPtr // all tags start at 0
 	}
@@ -205,13 +223,87 @@ func (c *cmpFact) invalidateOnWrite(dst isa.Reg) {
 	}
 }
 
+// clone returns an independent copy of s.
 func (s *state) clone() *state {
-	c := *s
-	c.frame = make(map[int64]Value, len(s.frame))
-	for k, v := range s.frame {
-		c.frame[k] = v
+	c := &state{}
+	c.copyFrom(s)
+	return c
+}
+
+// copyFrom overwrites s with o, reusing s's frame backing array. Copying
+// revives a destroyed frame as an empty usable one (frameOK is always
+// set): the analysis has always behaved this way, and the proof bundle's
+// invariants record the result as frameOk, so it is kept (DESIGN.md §9).
+func (s *state) copyFrom(o *state) {
+	s.regs = o.regs
+	s.rsp, s.rspOK, s.free = o.rsp, o.rspOK, o.free
+	s.frameOK = true
+	s.frame = append(s.frame[:0], o.frame...)
+}
+
+// statePool recycles the entry states a narrowing sweep replaces.
+type statePool []*state
+
+// copyOf returns a copy of src in a recycled state when one is free.
+func (p *statePool) copyOf(src *state) *state {
+	n := len(*p)
+	if n == 0 {
+		return src.clone()
 	}
-	return &c
+	s := (*p)[n-1]
+	*p = (*p)[:n-1]
+	s.copyFrom(src)
+	return s
+}
+
+// put hands a state no longer referenced back for reuse.
+func (p *statePool) put(s *state) {
+	if s != nil {
+		*p = append(*p, s)
+	}
+}
+
+// destroyFrame drops every slot fact: the stack may have been written
+// somewhere the analysis cannot name.
+func (s *state) destroyFrame() {
+	s.frameOK = false
+	s.frame = s.frame[:0]
+}
+
+// slotAt returns the fact of the slot at off, if the frame holds one.
+func (s *state) slotAt(off int64) (Value, bool) {
+	i, ok := s.slotIndex(off)
+	if !ok {
+		return Value{}, false
+	}
+	return s.frame[i].v, true
+}
+
+// slotIndex returns the position of off in the sorted frame and whether
+// a slot is there.
+func (s *state) slotIndex(off int64) (int, bool) {
+	lo, hi := 0, len(s.frame)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.frame[m].off < off {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(s.frame) && s.frame[lo].off == off
+}
+
+// setSlot strongly updates (or inserts) the slot at off.
+func (s *state) setSlot(off int64, v Value) {
+	i, ok := s.slotIndex(off)
+	if ok {
+		s.frame[i].v = v
+		return
+	}
+	s.frame = append(s.frame, slot{})
+	copy(s.frame[i+1:], s.frame[i:])
+	s.frame[i] = slot{off: off, v: v}
 }
 
 // reg reads a register tag, mirroring Tags.Current: invalid registers
@@ -249,24 +341,30 @@ func (s *state) joinInto(o *state, widen bool) bool {
 		s.rspOK = false
 		changed = true
 	}
-	if !s.rspOK && s.frame != nil {
-		s.frame = nil
+	if !s.rspOK && s.frameOK {
+		s.destroyFrame()
 		changed = true
 	}
-	if s.frame != nil {
-		for k, v := range s.frame {
-			ov, ok := o.frame[k]
-			if !ok {
-				delete(s.frame, k)
+	if s.frameOK {
+		// Key intersection by merge: both frames are sorted by offset, and
+		// a destroyed frame holds no slots.
+		w, j := 0, 0
+		for _, sl := range s.frame {
+			for j < len(o.frame) && o.frame[j].off < sl.off {
+				j++
+			}
+			if j == len(o.frame) || o.frame[j].off != sl.off {
 				changed = true
 				continue
 			}
-			j := jv(v, ov)
-			if !j.eq(v) {
-				s.frame[k] = j
+			v := jv(sl.v, o.frame[j].v)
+			if !v.eq(sl.v) {
 				changed = true
 			}
+			s.frame[w] = slot{off: sl.off, v: v}
+			w++
 		}
+		s.frame = s.frame[:w]
 	}
 	return changed
 }
@@ -452,6 +550,11 @@ func Analyze(prog *asm.Program, opt Options) (*Analysis, error) {
 	regionsDirty := false
 	a.onRegionChange = func() { regionsDirty = true }
 
+	// Every block transfer runs on one reused scratch state: in[] holds the
+	// entry facts, and only a successor's first entry state is a fresh
+	// copy.
+	st := &state{}
+
 	// Edge states (a.edgeState, context.go) apply conditional-branch
 	// refinement on JCC edges; the context-sensitive pass shares the
 	// same helper.
@@ -466,7 +569,7 @@ func Analyze(prog *asm.Program, opt Options) (*Analysis, error) {
 			return nil, fmt.Errorf("ptrflow: fixpoint exceeded %d block transfers (diverging lattice?)", maxTransfers)
 		}
 
-		st := in[id].clone()
+		st.copyFrom(in[id])
 		cmp := a.transferBlock(g, &g.Blocks[id], st, db, &dec, &uopBuf, nil)
 
 		for _, succ := range g.Blocks[id].Succs {
@@ -497,22 +600,27 @@ func Analyze(prog *asm.Program, opt Options) (*Analysis, error) {
 	// and in is a post-fixpoint — so widened loop bounds recover the
 	// precision the back-edge refinements provide.
 	a.onRegionChange = nil
+	// Each sweep builds its entry facts in states recycled from the
+	// sweep before.
+	var pool statePool
+	entry := newEntryState()
+	next := make([]*state, len(g.Blocks))
 	for sweep := 0; sweep < narrowSweeps; sweep++ {
-		next := make([]*state, len(g.Blocks))
+		clear(next)
 		for _, e := range g.Entries {
-			next[e] = newEntryState()
+			next[e] = pool.copyOf(entry)
 		}
 		for id := range g.Blocks {
 			if in[id] == nil {
 				continue
 			}
 			a.Stats.Transfers++
-			st := in[id].clone()
+			st.copyFrom(in[id])
 			cmp := a.transferBlock(g, &g.Blocks[id], st, db, &dec, &uopBuf, nil)
 			for _, succ := range g.Blocks[id].Succs {
 				es := a.edgeState(&g.Blocks[id], st, cmp, succ)
 				if next[succ] == nil {
-					next[succ] = es.clone()
+					next[succ] = pool.copyOf(es)
 				} else {
 					next[succ].joinInto(es, false)
 				}
@@ -520,6 +628,7 @@ func Analyze(prog *asm.Program, opt Options) (*Analysis, error) {
 		}
 		for id := range in {
 			if next[id] != nil {
+				pool.put(in[id])
 				in[id] = next[id]
 			}
 		}
@@ -535,7 +644,7 @@ func Analyze(prog *asm.Program, opt Options) (*Analysis, error) {
 			a.recordUnreached(g, &g.Blocks[bi], &dec, &uopBuf)
 			continue
 		}
-		st := in[bi].clone()
+		st.copyFrom(in[bi])
 		a.transferBlock(g, &g.Blocks[bi], st, db, &dec, &uopBuf, a.recordSite)
 	}
 	a.collect = false
@@ -551,7 +660,7 @@ func Analyze(prog *asm.Program, opt Options) (*Analysis, error) {
 	// proofs); every context-insensitive result stands as computed.
 	if a.CtxK >= 1 {
 		a.frozen = true
-		err := a.analyzeContexts(db, &dec, &uopBuf, maxTransfers)
+		err := a.analyzeContexts(st, db, &dec, &uopBuf, maxTransfers)
 		a.frozen = false
 		if err != nil {
 			return nil, err
@@ -1118,7 +1227,7 @@ func (a *Analysis) trackRSP(st *state, u *isa.Uop) {
 		return
 	}
 	st.rspOK = false
-	st.frame = nil
+	st.destroyFrame()
 }
 
 // applyRegRule is the abstract mirror of Engine.ApplyRegRule: first
@@ -1156,8 +1265,8 @@ func (a *Analysis) loadValue(st *state, u *isa.Uop) Value {
 		return a.readRegion(a.regionNameAt(addr))
 	}
 	if m.Base == isa.RSP && !m.Index.Valid() {
-		if st.rspOK && st.frame != nil {
-			if v, ok := st.frame[st.rsp+m.Disp]; ok {
+		if st.rspOK && st.frameOK {
+			if v, ok := st.slotAt(st.rsp + m.Disp); ok {
 				return v
 			}
 		}
@@ -1184,10 +1293,10 @@ func (a *Analysis) storeEffect(st *state, u *isa.Uop, sv Value) {
 		return
 	}
 	if m.Base == isa.RSP && !m.Index.Valid() {
-		if st.rspOK && st.frame != nil {
-			st.frame[st.rsp+m.Disp] = sv
+		if st.rspOK && st.frameOK {
+			st.setSlot(st.rsp+m.Disp, sv)
 		} else {
-			st.frame = nil // somewhere on the stack: every slot is suspect
+			st.destroyFrame() // somewhere on the stack: every slot is suspect
 		}
 		return
 	}
@@ -1207,8 +1316,8 @@ func (a *Analysis) applyExternalCall(st *state, target uint64) {
 	// The callee's synthetic RET pops the return address pushed by the
 	// call's own store micro-op (already interpreted by the caller block).
 	retPop := func() {
-		if st.rspOK && st.frame != nil {
-			if v, ok := st.frame[st.rsp]; ok {
+		if st.rspOK && st.frameOK {
+			if v, ok := st.slotAt(st.rsp); ok {
 				st.regs[isa.T0] = v
 			} else {
 				st.regs[isa.T0] = top
@@ -1251,7 +1360,7 @@ func (a *Analysis) applyExternalCall(st *state, target uint64) {
 			st.regs[i] = top
 		}
 		st.rspOK = false
-		st.frame = nil
+		st.destroyFrame()
 		st.free = true
 		a.poisonAll(top)
 	}
@@ -1267,7 +1376,7 @@ func (a *Analysis) recordSite(in *isa.Inst, u *isa.Uop, deref Value, ea eaFact) 
 	s, ok := a.Sites[k]
 	if !ok {
 		s = &Site{Addr: in.Addr, MacroIdx: u.MacroIdx, Store: u.Type == isa.UStore,
-			Inst: in.String(), Deref: bot}
+			Inst: in, Deref: bot}
 		a.Sites[k] = s
 	}
 	if !s.Reached {
@@ -1316,7 +1425,7 @@ func (a *Analysis) recordUnreached(g *CFG, b *Block, dec *decode.Decoder, buf *[
 			k := SiteKey{Addr: in.Addr, MacroIdx: u.MacroIdx}
 			if _, ok := a.Sites[k]; !ok {
 				a.Sites[k] = &Site{Addr: in.Addr, MacroIdx: u.MacroIdx,
-					Store: u.Type == isa.UStore, Inst: in.String(), Deref: bot,
+					Store: u.Type == isa.UStore, Inst: in, Deref: bot,
 					EA: eaFact{Off: ivFull}}
 			}
 		}
@@ -1401,7 +1510,7 @@ func (a *Analysis) Format() string {
 			flag = " (unreached)"
 		}
 		out += fmt.Sprintf("  %#08x.%d %s %-11s %-8s%s  ; %s\n",
-			s.Addr, s.MacroIdx, kind, s.Deref, s.Verdict, flag, s.Inst)
+			s.Addr, s.MacroIdx, kind, s.Deref, s.Verdict, flag, s.Inst.String())
 	}
 	return out
 }

@@ -74,13 +74,14 @@ func (s *Site) SortedCtxs() []*SiteCtx {
 // applying conditional-branch refinement on JCC edges. When the taken
 // and fall-through edges reach the same block the refinements would
 // have to be joined back together, which is the unrefined state — so
-// refinement is skipped there.
+// refinement is skipped there. A refined state lives in a.edge until the
+// next call: callers join it or clone it before asking for another edge.
 func (a *Analysis) edgeState(b *Block, st *state, cmp cmpFact, succ int) *state {
 	if cmp.ok && b.TakenSucc >= 0 && b.TakenSucc != b.FallSucc &&
 		(succ == b.TakenSucc || succ == b.FallSucc) {
-		es := st.clone()
-		refineByCond(es, cmp, b.Cond, succ == b.TakenSucc)
-		return es
+		a.edge.copyFrom(st)
+		refineByCond(&a.edge, cmp, b.Cond, succ == b.TakenSucc)
+		return &a.edge
 	}
 	return st
 }
@@ -94,7 +95,8 @@ func entryAddrOf(g *CFG, block int) uint64 {
 // narrowing sweeps, and the per-context site collection. Regions and
 // poison are frozen (a.frozen is set by the caller), so the pass never
 // restarts and never perturbs the context-insensitive layer's results.
-func (a *Analysis) analyzeContexts(db *tracker.RuleDB, dec *decode.Decoder, buf *[]isa.Uop, maxTransfers int) error {
+// st is the reused block-transfer scratch state.
+func (a *Analysis) analyzeContexts(st *state, db *tracker.RuleDB, dec *decode.Decoder, buf *[]isa.Uop, maxTransfers int) error {
 	g := a.CFG
 	k := a.CtxK
 	root := pipeline.CtxRoot
@@ -108,27 +110,38 @@ func (a *Analysis) analyzeContexts(db *tracker.RuleDB, dec *decode.Decoder, buf 
 		}
 	}
 
-	in := map[ctxKey]*state{}
-	var order []ctxKey // discovery order: the deterministic iteration spine
-	joins := map[ctxKey]int{}
-	dirty := map[ctxKey]bool{}
-	var work []ctxKey
-	push := func(key ctxKey) {
-		if !dirty[key] {
-			dirty[key] = true
-			work = append(work, key)
+	// Nodes are numbered in discovery order, the deterministic iteration
+	// spine: order[n] is node n's key and the per-node facts are slices
+	// indexed by n, so only discovery hashes the key.
+	// Every reached block has at least one node.
+	nb := len(g.Blocks)
+	index := make(map[ctxKey]int, nb)
+	order := make([]ctxKey, 0, nb)
+	in := make([]*state, 0, nb)
+	joins := make([]int, 0, nb)
+	dirty := make([]bool, 0, nb)
+	var work []int
+	push := func(n int) {
+		if !dirty[n] {
+			dirty[n] = true
+			work = append(work, n)
 		}
 	}
 	// add joins an edge state into a node, widening after the usual
 	// tolerance, and schedules the node when it changed.
 	add := func(key ctxKey, es *state) {
-		if cur, ok := in[key]; !ok {
-			in[key] = es.clone()
+		n, ok := index[key]
+		if !ok {
+			n = len(order)
+			index[key] = n
 			order = append(order, key)
-			push(key)
-		} else if cur.joinInto(es, joins[key] >= widenAfter) {
-			joins[key]++
-			push(key)
+			in = append(in, es.clone())
+			joins = append(joins, 0)
+			dirty = append(dirty, false)
+			push(n)
+		} else if in[n].joinInto(es, joins[n] >= widenAfter) {
+			joins[n]++
+			push(n)
 		}
 	}
 
@@ -145,8 +158,8 @@ func (a *Analysis) analyzeContexts(db *tracker.RuleDB, dec *decode.Decoder, buf 
 		}
 		callers[key] = append(callers[key], e)
 		for _, r := range funcRets[f] {
-			if _, ok := in[ctxKey{Block: r, Ctx: calleeCtx}]; ok {
-				push(ctxKey{Block: r, Ctx: calleeCtx})
+			if n, ok := index[ctxKey{Block: r, Ctx: calleeCtx}]; ok {
+				push(n)
 			}
 		}
 	}
@@ -187,15 +200,16 @@ func (a *Analysis) analyzeContexts(db *tracker.RuleDB, dec *decode.Decoder, buf 
 
 	transfers := 0
 	for len(work) > 0 {
-		key := work[0]
+		n := work[0]
 		work = work[1:]
-		dirty[key] = false
+		dirty[n] = false
 
 		transfers++
 		if transfers > maxTransfers {
 			return fmt.Errorf("ptrflow: context fixpoint exceeded %d block transfers (diverging lattice?)", maxTransfers)
 		}
-		st := in[key].clone()
+		key := order[n]
+		st.copyFrom(in[n])
 		cmp := a.transferBlock(g, &g.Blocks[key.Block], st, db, dec, buf, nil)
 		propagate(key, st, cmp, add)
 	}
@@ -203,28 +217,35 @@ func (a *Analysis) analyzeContexts(db *tracker.RuleDB, dec *decode.Decoder, buf 
 	// Narrowing: descending re-applications over the discovered node
 	// set, iterated in discovery order (map-range order would make the
 	// widened results nondeterministic). The caller registry is at its
-	// fixpoint, so the valid-path return edges are stable.
+	// fixpoint, so the valid-path return edges are stable and reach only
+	// discovered nodes. Each sweep builds its entry facts in states
+	// recycled from the sweep before.
+	var pool statePool
+	entry := newEntryState()
+	next := make([]*state, len(order))
+	sink := func(key ctxKey, es *state) {
+		n := index[key]
+		if next[n] != nil {
+			next[n].joinInto(es, false)
+		} else {
+			next[n] = pool.copyOf(es)
+		}
+	}
 	for sweep := 0; sweep < narrowSweeps; sweep++ {
-		next := map[ctxKey]*state{}
+		clear(next)
 		for _, e := range g.Entries {
-			next[ctxKey{Block: e, Ctx: root}] = newEntryState()
+			next[index[ctxKey{Block: e, Ctx: root}]] = pool.copyOf(entry)
 		}
-		sink := func(key ctxKey, es *state) {
-			if cur, ok := next[key]; ok {
-				cur.joinInto(es, false)
-			} else {
-				next[key] = es.clone()
-			}
-		}
-		for _, key := range order {
+		for n, key := range order {
 			transfers++
-			st := in[key].clone()
+			st.copyFrom(in[n])
 			cmp := a.transferBlock(g, &g.Blocks[key.Block], st, db, dec, buf, nil)
 			propagate(key, st, cmp, sink)
 		}
-		for _, key := range order {
-			if ns, ok := next[key]; ok {
-				in[key] = ns
+		for n := range in {
+			if next[n] != nil {
+				pool.put(in[n])
+				in[n] = next[n]
 			}
 		}
 	}
@@ -233,8 +254,8 @@ func (a *Analysis) analyzeContexts(db *tracker.RuleDB, dec *decode.Decoder, buf 
 	a.ctxOrder = order
 
 	// Per-context site collection over the narrowed fixpoint.
-	for _, key := range order {
-		st := in[key].clone()
+	for n, key := range order {
+		st.copyFrom(in[n])
 		ctx := key.Ctx
 		a.transferBlock(g, &g.Blocks[key.Block], st, db, dec, buf,
 			func(inst *isa.Inst, u *isa.Uop, deref Value, ea eaFact) {

@@ -253,7 +253,7 @@ func Crosscheck(ctx context.Context, prog *asm.Program, opt CheckOptions) (*Repo
 		}
 		sr := SiteReport{
 			Addr: fmt.Sprintf("%#x", s.Addr), MacroIdx: s.MacroIdx, Store: s.Store,
-			Inst: s.Inst, Verdict: s.Verdict.String(), Assumed: s.Assumed,
+			Inst: s.Inst.String(), Verdict: s.Verdict.String(), Assumed: s.Assumed,
 			Deref: s.Deref.String(), Execs: r.execs, Tagged: r.tagged, Wild: r.wild,
 			addr: s.Addr,
 		}

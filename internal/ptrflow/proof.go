@@ -188,10 +188,20 @@ func (a *Analysis) ProofBundle() *Bundle {
 	// canonical (block, context) order — discovery order would also be
 	// deterministic, but the sorted form is what the golden-byte test
 	// pins and what readers expect.
-	ctxKeys := append([]ctxKey(nil), a.ctxOrder...)
-	sortCtxKeys(ctxKeys)
-	for _, key := range ctxKeys {
-		b.Invariants = append(b.Invariants, invariantOf(key.Block, key.Ctx.String(), a.ctxIn[key]))
+	nodes := make([]int, len(a.ctxOrder))
+	for n := range nodes {
+		nodes[n] = n
+	}
+	sort.Slice(nodes, func(i, j int) bool {
+		ki, kj := a.ctxOrder[nodes[i]], a.ctxOrder[nodes[j]]
+		if ki.Block != kj.Block {
+			return ki.Block < kj.Block
+		}
+		return ki.Ctx.Less(kj.Ctx)
+	})
+	for _, n := range nodes {
+		key := a.ctxOrder[n]
+		b.Invariants = append(b.Invariants, invariantOf(key.Block, key.Ctx.String(), a.ctxIn[n]))
 	}
 
 	// Proofs are meaningless when control flow is not fully resolved:
@@ -221,18 +231,9 @@ func (a *Analysis) ProofBundle() *Bundle {
 // ctxAnyName is the serialized ⊤ context (pipeline.CtxAny.String()).
 const ctxAnyName = "any"
 
-func sortCtxKeys(keys []ctxKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Block != keys[j].Block {
-			return keys[i].Block < keys[j].Block
-		}
-		return keys[i].Ctx.Less(keys[j].Ctx)
-	})
-}
-
 func invariantOf(id int, ctx string, st *state) BlockInvariant {
 	inv := BlockInvariant{Block: id, Ctx: ctx, RSPOK: st.rspOK, Free: st.free,
-		FrameOK: st.frame != nil}
+		FrameOK: st.frameOK}
 	if st.rspOK {
 		inv.RSP = st.rsp
 	}
@@ -240,25 +241,13 @@ func invariantOf(id int, ctx string, st *state) BlockInvariant {
 	for i := range st.regs {
 		inv.Regs[i] = factOf(st.regs[i])
 	}
-	if st.frame != nil {
-		offs := make([]int64, 0, len(st.frame))
-		for off := range st.frame {
-			offs = append(offs, off)
-		}
-		sortInt64s(offs)
-		for _, off := range offs {
-			inv.Frame = append(inv.Frame, SlotFact{Off: off, Fact: factOf(st.frame[off])})
+	if len(st.frame) > 0 {
+		inv.Frame = make([]SlotFact, len(st.frame)) // already sorted by Off
+		for i, sl := range st.frame {
+			inv.Frame[i] = SlotFact{Off: sl.off, Fact: factOf(sl.v)}
 		}
 	}
 	return inv
-}
-
-func sortInt64s(s []int64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 func (a *Analysis) globalByName(name string) *asm.Global {

@@ -185,44 +185,55 @@ func (s *PredictorStats) MispredictionRate() float64 {
 // AliasPredictor is the stride-based pointer-reload predictor of Figure 4:
 // a PC-indexed table of (tag, PID, stride, 2-bit bias) entries plus a
 // blacklist of non-pointer-reload loads to avoid destructive aliasing.
+// Both tables are built in chunks on first write, so a short run pays
+// for the loads it trains rather than the full capacity.
 type AliasPredictor struct {
-	entries []predEntry
-	// blacklist is a direct-mapped table of 2-bit counters; a saturated
-	// counter filters the load from prediction.
-	blacklist []uint8
-	blTags    []uint32
+	entries chunkedTable[predEntry]
+	// blacklist is a direct-mapped table of tagged 2-bit counters; a
+	// saturated counter filters the load from prediction.
+	blacklist chunkedTable[blEntry]
 	Stats     PredictorStats
 }
+
+// blEntry is one blacklist slot: the load's PC tag and its 2-bit
+// not-a-pointer counter.
+type blEntry struct {
+	tag uint32
+	ctr uint8
+}
+
+// blacklistEntries is the blacklist's slot count.
+const blacklistEntries = 1024
 
 // NewAliasPredictor returns a predictor with the given entry count (512 in
 // the default CHEx86 design).
 func NewAliasPredictor(entries int) *AliasPredictor {
 	return &AliasPredictor{
-		entries:   make([]predEntry, entries),
-		blacklist: make([]uint8, 1024),
-		blTags:    make([]uint32, 1024),
+		entries:   newChunkedTable[predEntry](entries),
+		blacklist: newChunkedTable[blEntry](blacklistEntries),
 	}
 }
 
 func (p *AliasPredictor) index(pc uint64) (int, uint32) {
 	h := pc >> 2
-	return int(h % uint64(len(p.entries))), uint32(h / uint64(len(p.entries)) & 0xFFFF)
+	n := uint64(p.entries.n)
+	return int(h % n), uint32(h / n & 0xFFFF)
 }
 
 func (p *AliasPredictor) blIndex(pc uint64) (int, uint32) {
 	h := pc >> 2
-	return int(h % uint64(len(p.blacklist))), uint32(h & 0xFFFFFFFF)
+	return int(h % blacklistEntries), uint32(h & 0xFFFFFFFF)
 }
 
 // LiveEntries returns the number of trained (non-zero-PID) predictor
 // entries.
 func (p *AliasPredictor) LiveEntries() int {
 	n := 0
-	for i := range p.entries {
-		if p.entries[i].pid != 0 {
+	p.entries.each(func(_ int, e *predEntry) {
+		if e.pid != 0 {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -239,23 +250,74 @@ func (p *AliasPredictor) CorruptNth(n int) (int, bool) {
 		return 0, false
 	}
 	n %= total
-	for i := range p.entries {
-		if p.entries[i].pid == 0 {
+	idx := -1
+	p.entries.each(func(i int, e *predEntry) {
+		if e.pid == 0 || idx >= 0 {
+			return
+		}
+		if n > 0 {
+			n--
+			return
+		}
+		e.pid ^= 0x2A
+		if e.pid <= 0 {
+			e.pid = 1
+		}
+		e.stride = -e.stride + 1
+		e.bias = 3 // high confidence in garbage: worst case for timing
+		idx = i
+	})
+	return idx, true
+}
+
+// tableChunk is the number of entries a chunkedTable materializes
+// together on the first write into their range.
+const tableChunk = 64
+
+// chunkedTable is a fixed-size table whose entries live at
+// chunks[i/tableChunk][i%tableChunk]. A nil chunk was never written:
+// reads in its range see the zero entry without allocating.
+type chunkedTable[E any] struct {
+	n      int
+	chunks []*[tableChunk]E
+}
+
+func newChunkedTable[E any](n int) chunkedTable[E] {
+	return chunkedTable[E]{n: n, chunks: make([]*[tableChunk]E, (n+tableChunk-1)/tableChunk)}
+}
+
+// at returns entry i for reading, or nil when its chunk was never
+// written (the entry is zero).
+func (t *chunkedTable[E]) at(i int) *E {
+	if ch := t.chunks[i/tableChunk]; ch != nil {
+		return &ch[i%tableChunk]
+	}
+	return nil
+}
+
+// slot returns entry i for writing, materializing its chunk.
+func (t *chunkedTable[E]) slot(i int) *E {
+	ch := t.chunks[i/tableChunk]
+	if ch == nil {
+		ch = new([tableChunk]E)
+		t.chunks[i/tableChunk] = ch
+	}
+	return &ch[i%tableChunk]
+}
+
+// each visits every materialized entry in index order; entries of
+// unwritten chunks are zero and skipped.
+func (t *chunkedTable[E]) each(f func(i int, e *E)) {
+	for c, ch := range t.chunks {
+		if ch == nil {
 			continue
 		}
-		if n == 0 {
-			e := &p.entries[i]
-			e.pid ^= 0x2A
-			if e.pid <= 0 {
-				e.pid = 1
+		for j := range ch {
+			if i := c*tableChunk + j; i < t.n {
+				f(i, &ch[j])
 			}
-			e.stride = -e.stride + 1
-			e.bias = 3 // high confidence in garbage: worst case for timing
-			return i, true
 		}
-		n--
 	}
-	return 0, false
 }
 
 // Predict returns the predicted PID for the load at pc (0 = not a pointer
@@ -263,13 +325,13 @@ func (p *AliasPredictor) CorruptNth(n int) (int, bool) {
 func (p *AliasPredictor) Predict(pc uint64) core.PID {
 	p.Stats.Lookups++
 	bi, bt := p.blIndex(pc)
-	if p.blTags[bi] == bt && p.blacklist[bi] >= 2 {
+	if b := p.blacklist.at(bi); b != nil && b.tag == bt && b.ctr >= 2 {
 		p.Stats.Blacklisted++
 		return 0
 	}
 	i, tag := p.index(pc)
-	e := &p.entries[i]
-	if e.tag != tag || e.pid == 0 {
+	e := p.entries.at(i)
+	if e == nil || e.tag != tag || e.pid == 0 {
 		return 0
 	}
 	p.Stats.Predictions++
@@ -294,16 +356,16 @@ func (p *AliasPredictor) Resolve(pc uint64, predicted, actual core.PID) Outcome 
 	// filtered; a pointer reload rescinds the blacklisting.
 	bi, bt := p.blIndex(pc)
 	if actual == 0 {
-		if p.blTags[bi] == bt {
-			if p.blacklist[bi] < 3 {
-				p.blacklist[bi]++
+		b := p.blacklist.slot(bi)
+		if b.tag == bt {
+			if b.ctr < 3 {
+				b.ctr++
 			}
 		} else {
-			p.blTags[bi] = bt
-			p.blacklist[bi] = 1
+			*b = blEntry{tag: bt, ctr: 1}
 		}
-	} else if p.blTags[bi] == bt && p.blacklist[bi] > 0 {
-		p.blacklist[bi] = 0
+	} else if b := p.blacklist.at(bi); b != nil && b.tag == bt && b.ctr > 0 {
+		b.ctr = 0
 	}
 
 	// Stride training (2-delta): the committed stride changes only when
@@ -313,7 +375,7 @@ func (p *AliasPredictor) Resolve(pc uint64, predicted, actual core.PID) Outcome 
 	// learned stride.
 	if actual != 0 {
 		i, tag := p.index(pc)
-		e := &p.entries[i]
+		e := p.entries.slot(i)
 		if e.tag == tag && e.pid != 0 {
 			stride := actual - e.pid
 			switch {

@@ -1,6 +1,12 @@
 package tracker
 
-import "chex86/internal/core"
+import (
+	"encoding/json"
+	"fmt"
+	"sync"
+
+	"chex86/internal/core"
+)
 
 // RuleExport is the JSON-marshalable form of one rule-database entry.
 // Propagate closures cannot be serialized, so Propagation carries a
@@ -92,3 +98,19 @@ func (db *RuleDB) Export() []RuleExport {
 	}
 	return out
 }
+
+// builtinExportJSON is the built-in database's export as compact JSON,
+// marshalled once: NewRuleDB always returns the same Table-I rules.
+var builtinExportJSON = sync.OnceValue(func() []byte {
+	data, err := json.Marshal(NewRuleDB().Export())
+	if err != nil {
+		panic(fmt.Sprintf("tracker: rule export marshal: %v", err))
+	}
+	return data
+})
+
+// BuiltinExportJSON returns the built-in rule database's export as
+// compact JSON: the byte-stable rule semantics that elision digests and
+// campaign cache keys fold in. The slice is shared; callers must not
+// modify it.
+func BuiltinExportJSON() []byte { return builtinExportJSON() }
